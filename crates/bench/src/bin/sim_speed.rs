@@ -1,11 +1,11 @@
-//! Wall-clock benchmark of the skipping schedulers.
+//! Wall-clock benchmark of the fast scheduler.
 //!
-//! Runs each selected application three times — under the dense
-//! reference loop, the event-driven scheduler, and the compiled
-//! tick-program backend — checks that every per-launch `SimResult` is
-//! bit-identical across all three, and reports the wall-clock speedups
-//! over dense. Exits nonzero if the schedulers disagree anywhere or any
-//! app fails to run.
+//! Runs each selected application twice — under the dense reference loop
+//! and under the fast scheduler — checks that every per-launch
+//! `SimResult` is bit-identical between the two, and reports the
+//! wall-clock speedup over dense. Only the kernel launches are timed, not
+//! input generation or the host-side reference check. Exits nonzero if
+//! the schedulers disagree anywhere or any app fails to run.
 //!
 //! ```text
 //! cargo run --release -p soff-bench --bin sim_speed [--apps atax,mvt] [--full] [--jobs N]
@@ -15,35 +15,59 @@
 
 use soff_baseline::Framework;
 use soff_bench::json::{write_bench_rows, Json};
-use soff_bench::{fmt_geomean, geomean, jobs_flag};
+use soff_bench::{fmt_geomean, jobs_flag};
+use soff_ir::ir::NdRange;
 use soff_sim::Scheduler;
 use soff_workloads::data::Scale;
-use soff_workloads::runner::SimRunner;
+use soff_workloads::runner::{Arg, BufId, RunError, Runner, SimRunner};
 use soff_workloads::{all_apps, App, Suite};
 use std::time::Instant;
 
+/// A [`SimRunner`] that accumulates the host time of its launches.
+struct LaunchTimer {
+    inner: SimRunner,
+    seconds: f64,
+}
+
+impl Runner for LaunchTimer {
+    fn alloc_bytes(&mut self, data: &[u8]) -> BufId {
+        self.inner.alloc_bytes(data)
+    }
+
+    fn launch(&mut self, kernel: &str, args: &[Arg], nd: NdRange) -> Result<(), RunError> {
+        let start = Instant::now();
+        let out = self.inner.launch(kernel, args, nd);
+        self.seconds += start.elapsed().as_secs_f64();
+        out
+    }
+
+    fn read_bytes(&mut self, b: BufId) -> Vec<u8> {
+        self.inner.read_bytes(b)
+    }
+}
+
 struct Measured {
-    wall_seconds: f64,
+    launch_seconds: f64,
     cycles: u64,
     launches: u32,
     results: Vec<soff_sim::SimResult>,
 }
 
 fn run_once(app: &App, scale: Scale, scheduler: Scheduler) -> Result<Measured, String> {
-    let mut runner = SimRunner::new(Framework::Soff, app.source, &[])
+    let mut inner = SimRunner::new(Framework::Soff, app.source, &[])
         .map_err(|o| format!("build failed ({})", o.code()))?;
-    runner.set_scheduler(scheduler);
-    let start = Instant::now();
+    inner.set_scheduler(scheduler);
+    let mut runner = LaunchTimer { inner, seconds: 0.0 };
     let correct = (app.run)(&mut runner, scale).map_err(|e| e.to_string())?;
-    let wall_seconds = start.elapsed().as_secs_f64();
     if !correct {
         return Err("incorrect answer".to_string());
     }
+    let LaunchTimer { inner, seconds } = runner;
     Ok(Measured {
-        wall_seconds,
-        cycles: runner.total_cycles,
-        launches: runner.launches,
-        results: runner.launch_results,
+        launch_seconds: seconds,
+        cycles: inner.total_cycles,
+        launches: inner.launches,
+        results: inner.launch_results,
     })
 }
 
@@ -69,31 +93,33 @@ fn main() {
         std::process::exit(2);
     }
 
-    println!("Simulator wall-clock: dense vs. event-driven vs. compiled ({scale:?} scale)");
-    println!("{:-<90}", "");
+    println!("Simulator launch time: dense vs. fast ({scale:?} scale)");
+    println!("{:-<66}", "");
     println!(
-        "{:<12} {:>11} {:>11} {:>11} {:>8} {:>8} {:>13} {:>7}",
-        "app", "dense (ms)", "event (ms)", "comp (ms)", "ev", "comp", "cycles", "agree"
+        "{:<12} {:>11} {:>11} {:>8} {:>13} {:>7}",
+        "app", "dense (ms)", "fast (ms)", "speedup", "cycles", "agree"
     );
-    println!("{:-<90}", "");
+    println!("{:-<66}", "");
 
     let mut rows = Vec::new();
-    let mut event_speedups = Vec::new();
-    let mut compiled_speedups = Vec::new();
+    let mut speedups = Vec::new();
     let mut failed = false;
-    // One pool task per app runs its dense+event+compiled triple back to
-    // back on the same thread, so each row's wall-clock comparison stays
+    // One pool task per app runs its dense+fast pair back to back on the
+    // same thread, so each row's wall-clock comparison stays
     // apples-to-apples even when apps run concurrently.
     let jobs = jobs_flag(&args);
-    let triples = soff_exec::run_tasks(jobs, apps.clone(), |_, app: App| {
-        let dense = run_once(&app, scale, Scheduler::Dense);
-        let event = run_once(&app, scale, Scheduler::EventDriven);
-        let compiled = run_once(&app, scale, Scheduler::Compiled);
-        (dense, event, compiled)
+    let pairs = soff_exec::run_tasks(jobs, apps.clone(), |_, app: App| {
+        (run_once(&app, scale, Scheduler::Dense), run_once(&app, scale, Scheduler::Fast))
     });
-    for (app, triple) in apps.iter().zip(triples) {
-        let (dense, event, compiled) = match triple {
-            Ok(t) => t,
+    for (app, pair) in apps.iter().zip(pairs) {
+        let (dense, fast) = match pair {
+            Ok((Ok(d), Ok(f))) => (d, f),
+            Ok((d, f)) => {
+                let why = d.err().or_else(|| f.err()).unwrap_or_default();
+                println!("{:<12} failed: {why}", app.name);
+                failed = true;
+                continue;
+            }
             Err(soff_exec::TaskError::Panicked { message }) => {
                 println!("{:<12} failed: task panicked: {message}", app.name);
                 failed = true;
@@ -105,67 +131,39 @@ fn main() {
                 continue;
             }
         };
-        let (dense, event, compiled) = match (dense, event, compiled) {
-            (Ok(d), Ok(e), Ok(c)) => (d, e, c),
-            (d, e, c) => {
-                let why =
-                    d.err().or_else(|| e.err()).or_else(|| c.err()).unwrap_or_default();
-                println!("{:<12} failed: {why}", app.name);
-                failed = true;
-                continue;
-            }
-        };
         // Bit-identity: every launch's full SimResult (cycle counts,
-        // per-cache statistics, stall counters) must match across all
-        // three backends.
-        let agree = dense.results == event.results
-            && dense.results == compiled.results
-            && dense.cycles == event.cycles
-            && dense.cycles == compiled.cycles
-            && dense.launches == event.launches
-            && dense.launches == compiled.launches;
+        // per-cache statistics, stall counters) must match.
+        let agree = dense.results == fast.results
+            && dense.cycles == fast.cycles
+            && dense.launches == fast.launches;
         if !agree {
             failed = true;
         }
-        let event_speedup = dense.wall_seconds / event.wall_seconds.max(1e-9);
-        let compiled_speedup = dense.wall_seconds / compiled.wall_seconds.max(1e-9);
-        event_speedups.push(event_speedup);
-        compiled_speedups.push(compiled_speedup);
+        let speedup = dense.launch_seconds / fast.launch_seconds.max(1e-9);
+        speedups.push(speedup);
         println!(
-            "{:<12} {:>11.1} {:>11.1} {:>11.1} {:>7.2}x {:>7.2}x {:>13} {:>7}",
+            "{:<12} {:>11.1} {:>11.1} {:>7.2}x {:>13} {:>7}",
             app.name,
-            dense.wall_seconds * 1e3,
-            event.wall_seconds * 1e3,
-            compiled.wall_seconds * 1e3,
-            event_speedup,
-            compiled_speedup,
+            dense.launch_seconds * 1e3,
+            fast.launch_seconds * 1e3,
+            speedup,
             dense.cycles,
             if agree { "yes" } else { "NO" },
         );
         rows.push(Json::obj(vec![
             ("app", Json::str(app.name)),
-            ("dense_seconds", Json::Num(dense.wall_seconds)),
-            ("event_seconds", Json::Num(event.wall_seconds)),
-            ("compiled_seconds", Json::Num(compiled.wall_seconds)),
-            ("speedup", Json::Num(event_speedup)),
-            ("compiled_speedup", Json::Num(compiled_speedup)),
+            ("dense_seconds", Json::Num(dense.launch_seconds)),
+            ("fast_seconds", Json::Num(fast.launch_seconds)),
+            ("speedup", Json::Num(speedup)),
             ("cycles", Json::Int(dense.cycles as i64)),
             ("launches", Json::Int(dense.launches as i64)),
             ("agree", Json::Bool(agree)),
         ]));
     }
-    println!("{:-<90}", "");
-    println!(
-        "geomean speedup over dense: event {}, compiled {}",
-        fmt_geomean(&event_speedups),
-        fmt_geomean(&compiled_speedups),
-    );
-    if let (Some(e), Some(c)) = (geomean(&event_speedups), geomean(&compiled_speedups)) {
-        println!("compiled over event-driven: {:.2}x", c / e);
-        rows.push(Json::obj(vec![
-            ("geomean_speedup", Json::Num(e)),
-            ("geomean_compiled_speedup", Json::Num(c)),
-        ]));
+    println!("{:-<66}", "");
+    println!("geomean speedup of fast over dense: {}", fmt_geomean(&speedups));
+    if let Some(g) = soff_bench::geomean(&speedups) {
+        rows.push(Json::obj(vec![("geomean_speedup", Json::Num(g))]));
     }
     match write_bench_rows("sim_speed", rows) {
         Ok(path) => println!("wrote {}", path.display()),

@@ -1,13 +1,14 @@
 //! Cycle-count benchmark of the sliding-window line buffer.
 //!
 //! Runs each stencil application with the line buffer on and off, each
-//! under all three schedulers, and reports the simulated-cycle speedup
-//! plus the cache-miss and DRAM-traffic deltas the window path buys.
-//! Within each mode the three schedulers must agree bit-for-bit, and the
-//! output buffers must be byte-identical across all six runs (the line
-//! buffer is a performance feature, never a semantic one). Exits nonzero
-//! on any disagreement, any incorrect answer, or — the CI self-check —
-//! if the line-buffer path is slower than the cache path on `2dconv`.
+//! under both schedulers (dense and fast), and reports the
+//! simulated-cycle speedup plus the cache-miss and DRAM-traffic deltas
+//! the window path buys. Within each mode the two schedulers must agree
+//! bit-for-bit, and the output buffers must be byte-identical across all
+//! four runs (the line buffer is a performance feature, never a semantic
+//! one). Exits nonzero on any disagreement, any incorrect answer, or —
+//! the CI self-check — if the line-buffer path is slower than the cache
+//! path on `2dconv`.
 //!
 //! ```text
 //! cargo run --release -p soff-bench --bin stencil_speed [--apps 2dconv,jacobi] [--jobs N]
@@ -22,14 +23,10 @@ use soff_workloads::data::Scale;
 use soff_workloads::stencil::{run_stencil, stencil_app_names, StencilRun};
 use soff_workloads::{all_apps, App};
 
-const SCHEDULERS: [Scheduler; 3] = [
-    Scheduler::Dense,
-    Scheduler::EventDriven,
-    Scheduler::Compiled,
-];
+const SCHEDULERS: [Scheduler; 2] = [Scheduler::Dense, Scheduler::Fast];
 
-/// One line-buffer mode: the dense-scheduler run plus agreement across
-/// the other two backends.
+/// One line-buffer mode: the dense-scheduler run plus agreement with the
+/// fast one.
 struct Mode {
     run: StencilRun,
     agree: bool,
@@ -93,7 +90,7 @@ fn main() {
     let mut blocked_speedups = Vec::new();
     let mut conv2d_self_check_ok = true;
     let mut failed = false;
-    // One pool task per app runs its six configurations back to back.
+    // One pool task per app runs its four configurations back to back.
     let jobs = jobs_flag(&args);
     let pairs = soff_exec::run_tasks(jobs, apps.clone(), |_, app: App| {
         let off = run_mode(&app, false);

@@ -169,6 +169,9 @@ pub struct Cache {
     prefetched: Vec<bool>,
     /// One-deep request latch per port.
     latches: Vec<Option<MemRequest>>,
+    /// Occupied latches (kept with every latch and take, so the idle test
+    /// need not scan the ports).
+    latched: usize,
     /// Round-robin pointer of the datapath-cache arbiter.
     rr: usize,
     /// Accepted requests, in order; responses pop from the front.
@@ -218,6 +221,7 @@ impl Cache {
             dirty: vec![false; sets],
             prefetched: vec![false; sets],
             latches: Vec::new(),
+            latched: 0,
             rr: 0,
             inflight: VecDeque::new(),
             miss_readies: VecDeque::new(),
@@ -271,6 +275,7 @@ impl Cache {
     pub fn request(&mut self, p: PortId, req: MemRequest) {
         assert!(self.latches[p.0].is_none(), "port {p:?} already has a pending request");
         self.latches[p.0] = Some(req);
+        self.latched += 1;
     }
 
     /// Pops the next in-order response for port `p`, if any.
@@ -286,7 +291,7 @@ impl Cache {
     /// guarantees the next cycle would behave identically except for the
     /// round-robin rotation and stall counters, which
     /// [`Cache::replay_blocked`] can reproduce in closed form; the
-    /// event-driven scheduler relies on this to fast-forward idle gaps.
+    /// fast scheduler relies on this to fast-forward idle gaps.
     pub fn tick(&mut self, now: u64, dram: &mut Dram, gm: &mut GlobalMemory) -> bool {
         let mut moved = false;
         // Single-ported SRAM: one response per cycle, strictly in order.
@@ -299,7 +304,8 @@ impl Cache {
         }
 
         // Count arbitration stalls (latched but not yet served ports).
-        let waiting = self.latches.iter().filter(|l| l.is_some()).count() as u64;
+        debug_assert_eq!(self.latched, self.latches.iter().flatten().count());
+        let waiting = self.latched as u64;
         if waiting > 1 {
             self.stats.arbitration_stalls += waiting - 1;
         }
@@ -338,6 +344,7 @@ impl Cache {
                 return moved || !all_blocked;
             }
             let req = self.latches[p].take().expect("checked above");
+            self.latched -= 1;
             self.accept(now, p, req, hit, set, line_addr, dram, gm);
             self.rr = (p + 1) % n;
             return true;
@@ -383,7 +390,7 @@ impl Cache {
     ///
     /// Only valid when the tick at `now` reported no progress and no
     /// response becomes deliverable within the window (both hold by
-    /// construction when the event-driven scheduler fast-forwards).
+    /// construction when the fast scheduler fast-forwards).
     pub fn replay_blocked(&mut self, now: u64, cycles: u64) {
         if cycles == 0 {
             return;
@@ -392,7 +399,7 @@ impl Cache {
             self.inflight.front().is_none_or(|f| f.ready > now + cycles),
             "replay window overlaps a response delivery"
         );
-        let waiting = self.latches.iter().filter(|l| l.is_some()).count() as u64;
+        let waiting = self.latched as u64;
         if waiting > 1 {
             self.stats.arbitration_stalls += (waiting - 1) * cycles;
         }
@@ -510,7 +517,7 @@ impl Cache {
 
     /// Whether any request is latched or in flight.
     pub fn is_idle(&self) -> bool {
-        self.inflight.is_empty() && self.latches.iter().all(|l| l.is_none())
+        self.inflight.is_empty() && self.latched == 0
     }
 
     /// Whether the cache still has timed events scheduled in the future:
@@ -523,7 +530,7 @@ impl Cache {
 
     /// Number of ports with a latched, not-yet-accepted request.
     pub fn latched_requests(&self) -> usize {
-        self.latches.iter().filter(|l| l.is_some()).count()
+        self.latched
     }
 
     /// Number of accepted requests awaiting response delivery.

@@ -36,7 +36,7 @@
 //!
 //! Determinism: the only statistics are per-*event* counters (serves,
 //! fills, first-time underruns) — there are no per-idle-cycle counters —
-//! so the event-driven scheduler's fast-forward needs no replay
+//! so the fast scheduler's fast-forward needs no replay
 //! equivalent of [`crate::cache::Cache::replay_blocked`]: skipped cycles
 //! are cycles in which `tick` would not have changed anything.
 
@@ -217,7 +217,7 @@ impl LineBuffer {
     /// this is the whole point), and issues new stream fills. Returns
     /// whether anything changed (fill retired, request served, or fill
     /// issued); a `false` return guarantees the next cycle would be
-    /// identical, which the event-driven scheduler relies on.
+    /// identical, which the fast scheduler relies on.
     pub fn tick(&mut self, now: u64, dram: &mut Dram, gm: &GlobalMemory) -> bool {
         let mut moved = false;
         // Retire matured fills in issue order.

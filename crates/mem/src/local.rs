@@ -32,6 +32,9 @@ pub struct LocalBlock {
     /// Storage, one per work-group slot.
     slots: Vec<ByteStore>,
     latches: Vec<Option<MemRequest>>,
+    /// Occupied latches (kept with every latch and take, so an idle tick
+    /// need not scan the ports).
+    latched: usize,
     out: Vec<VecDeque<(u64, MemResponse)>>,
     /// Statistics.
     pub stats: LocalStats,
@@ -48,6 +51,7 @@ impl LocalBlock {
             banks,
             slots: (0..wg_slots.max(1)).map(|_| ByteStore::new(size as usize)).collect(),
             latches: vec![None; num_units.max(1)],
+            latched: 0,
             out: vec![VecDeque::new(); num_units.max(1)],
             stats: LocalStats::default(),
         }
@@ -90,6 +94,7 @@ impl LocalBlock {
     pub fn request(&mut self, p: PortId, req: MemRequest) {
         assert!(self.latches[p.0].is_none(), "local port {p:?} busy");
         self.latches[p.0] = Some(req);
+        self.latched += 1;
     }
 
     /// Pops a ready response for port `p`.
@@ -119,7 +124,8 @@ impl LocalBlock {
     /// always wins its bank, so any latched request guarantees progress —
     /// a `false` return means the block was completely idle.
     pub fn tick(&mut self, now: u64) -> bool {
-        if self.latches.iter().all(|l| l.is_none()) {
+        debug_assert_eq!(self.latched, self.latches.iter().flatten().count());
+        if self.latched == 0 {
             return false;
         }
         let mut moved = false;
@@ -136,6 +142,7 @@ impl LocalBlock {
             }
             bank_used[bank] = true;
             let req = self.latches[p].take().expect("checked above");
+            self.latched -= 1;
             self.stats.accesses += 1;
             let slot = (req.wg as usize) % self.slots.len();
             let value = self.apply(slot, &req);

@@ -982,11 +982,7 @@ mod tests {
         let device = Device::system_a();
         let program = Program::build(VADD, &[], &device).unwrap();
         let mut results = Vec::new();
-        for scheduler in [
-            soff_sim::Scheduler::Dense,
-            soff_sim::Scheduler::EventDriven,
-            soff_sim::Scheduler::Compiled,
-        ] {
+        for scheduler in [soff_sim::Scheduler::Dense, soff_sim::Scheduler::Fast] {
             let mut ctx = Context::new(device.clone());
             ctx.scheduler = scheduler;
             let a = ctx.create_buffer(32 * 4);
@@ -1001,7 +997,6 @@ mod tests {
             results.push((stats.sim, ctx.read_buffer(c).unwrap()));
         }
         assert_eq!(results[0], results[1], "schedulers diverged through the host API");
-        assert_eq!(results[0], results[2], "compiled scheduler diverged through the host API");
     }
 
     #[test]

@@ -109,9 +109,9 @@ fn shared_results_match_solo_runs() {
 }
 
 /// The server's scheduler knob reaches the simulator (it used to be
-/// silently ignored) and every backend — including Compiled, whose
-/// hot-state mirror is rebuilt at each slice's snapshot restore — slices
-/// to the same bit-identical results as a solo unsliced run.
+/// silently ignored) and both backends — whose tick programs rebuild
+/// their hot-state bytes at each slice's snapshot restore — slice to the
+/// same bit-identical results as a solo unsliced run.
 #[test]
 fn sliced_results_are_backend_invariant() {
     let works = [
@@ -120,11 +120,7 @@ fn sliced_results_are_backend_invariant() {
     ];
     let expected: Vec<(u64, Vec<u8>)> = works.iter().map(solo).collect();
 
-    for scheduler in [
-        soff_sim::Scheduler::Dense,
-        soff_sim::Scheduler::EventDriven,
-        soff_sim::Scheduler::Compiled,
-    ] {
+    for scheduler in [soff_sim::Scheduler::Dense, soff_sim::Scheduler::Fast] {
         let server = Server::new(ServerConfig {
             device_slots: 1,
             slice_cycles: 1_000,

@@ -9,6 +9,7 @@
 //! recognition delay.
 
 use std::collections::VecDeque;
+use std::ops::Deref;
 
 /// Identifies a channel within one simulated machine (see `crate::machine`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,8 +30,8 @@ pub struct Channel<T> {
     /// handshake (stuck-stall), exactly like a wedged valid/stall pair.
     jammed: bool,
     /// Whether any state-changing operation (push, pop, fault mutation,
-    /// jam flip) hit this channel since the last `begin_cycle`. The
-    /// event-driven scheduler reads this to detect globally idle cycles.
+    /// jam flip) hit this channel since the last `begin_cycle`; a
+    /// [`Channels`] bank keys its dirty list on this flag.
     touched: bool,
 }
 
@@ -165,6 +166,118 @@ impl<T: Clone> Channel<T> {
     }
 }
 
+/// A bank of channels that remembers which ones changed state since the
+/// last [`Channels::begin_cycle`] (the *dirty list*).
+///
+/// A channel nobody touched during a cycle already has its cycle-start
+/// snapshot equal to its queue (`begin_cycle` would rewrite the same two
+/// numbers), so refreshing only the dirty ones is exact. Every mutation
+/// goes through the bank — `Deref` exposes the channels read-only — so no
+/// change can escape the list. The bank also counts pushes, the channel
+/// share of the machine's progress watchdog.
+#[derive(Debug, Clone)]
+pub struct Channels<T> {
+    chans: Vec<Channel<T>>,
+    dirty: Vec<u32>,
+    pushes: u64,
+}
+
+impl<T> Default for Channels<T> {
+    fn default() -> Self {
+        Channels { chans: Vec::new(), dirty: Vec::new(), pushes: 0 }
+    }
+}
+
+impl<T> Deref for Channels<T> {
+    type Target = [Channel<T>];
+    fn deref(&self) -> &[Channel<T>] {
+        &self.chans
+    }
+}
+
+impl<T> Channels<T> {
+    /// A bank of fresh channels with the given capacities.
+    pub fn with_capacities(caps: &[usize]) -> Channels<T> {
+        let chans = caps.iter().map(|&cap| Channel::new(cap)).collect();
+        Channels { chans, dirty: Vec::new(), pushes: 0 }
+    }
+
+    /// Appends a channel of capacity `cap`.
+    pub fn add(&mut self, cap: usize) -> ChanId {
+        self.chans.push(Channel::new(cap));
+        ChanId(self.chans.len() - 1)
+    }
+
+    fn mark(&mut self, i: usize) -> &mut Channel<T> {
+        let c = &mut self.chans[i];
+        if !c.touched {
+            self.dirty.push(i as u32);
+        }
+        c
+    }
+
+    /// Starts a cycle: refreshes the snapshot of every channel on the
+    /// dirty list and empties it.
+    pub fn begin_cycle(&mut self) {
+        for i in self.dirty.drain(..) {
+            self.chans[i as usize].begin_cycle();
+        }
+    }
+
+    /// Starts a cycle the reference way: refreshes every channel.
+    pub fn begin_cycle_all(&mut self) {
+        for c in &mut self.chans {
+            c.begin_cycle();
+        }
+        self.dirty.clear();
+    }
+
+    /// Whether any channel changed state since the last `begin_cycle`.
+    pub fn touched(&self) -> bool {
+        !self.dirty.is_empty()
+    }
+
+    /// Tokens ever pushed into the bank (the sum of [`Channel::total`]).
+    pub fn pushes(&self) -> u64 {
+        self.pushes
+    }
+
+    /// Pushes onto channel `i` (see [`Channel::push`]).
+    pub fn push(&mut self, i: usize, t: T) {
+        self.pushes += 1;
+        self.mark(i).push(t);
+    }
+
+    /// Pops from channel `i` (see [`Channel::pop`]).
+    pub fn pop(&mut self, i: usize) -> T {
+        self.mark(i).pop()
+    }
+
+    /// Fault injection: wedges or releases channel `i`.
+    pub fn set_jammed(&mut self, i: usize, jammed: bool) {
+        if self.chans[i].jammed != jammed {
+            self.mark(i).set_jammed(jammed);
+        }
+    }
+
+    /// Fault injection: drops the front token of channel `i`.
+    pub fn fault_drop_front(&mut self, i: usize) -> bool {
+        self.chans[i].q.front().is_some() && self.mark(i).fault_drop_front()
+    }
+}
+
+impl<T: Clone> Channels<T> {
+    /// Fault injection: repeats the front token of channel `i`.
+    pub fn fault_duplicate_front(&mut self, i: usize) -> bool {
+        let c = &self.chans[i];
+        if c.q.len() < c.cap && !c.q.is_empty() {
+            self.pushes += 1;
+            return self.mark(i).fault_duplicate_front();
+        }
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,6 +343,48 @@ mod tests {
         c.begin_cycle();
         c.set_jammed(true);
         assert!(!c.touched(), "re-asserting the same jam is not a change");
+    }
+
+    /// Refreshing only the dirty list is indistinguishable from refreshing
+    /// every channel, under random pushes, pops, jams, drops and
+    /// duplications; the bank's push count stays the sum of the totals.
+    #[test]
+    fn dirty_list_refresh_matches_full_refresh() {
+        let caps = [1, 2, 3, 4];
+        let mut dirty = Channels::with_capacities(&caps);
+        let mut full = Channels::with_capacities(&caps);
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut wi = 0;
+        for _cycle in 0..2_000 {
+            dirty.begin_cycle();
+            full.begin_cycle_all();
+            for _ in 0..3 {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                let i = (rng >> 8) as usize % caps.len();
+                for bank in [&mut dirty, &mut full] {
+                    match rng % 6 {
+                        0 | 1 if bank[i].can_push() => bank.push(i, tok(wi)),
+                        2 if bank[i].can_pop() => drop(bank.pop(i)),
+                        3 => bank.set_jammed(i, rng & 1 << 20 != 0),
+                        4 => drop(bank.fault_drop_front(i)),
+                        5 => drop(bank.fault_duplicate_front(i)),
+                        _ => {}
+                    }
+                }
+                wi += 1;
+                for c in 0..caps.len() {
+                    let (a, b) = (&dirty[c], &full[c]);
+                    assert_eq!(
+                        (a.len(), a.can_pop(), a.can_push(), a.front().map(|t| t.wi)),
+                        (b.len(), b.can_pop(), b.can_push(), b.front().map(|t| t.wi))
+                    );
+                }
+                assert_eq!(dirty.pushes(), full.pushes());
+                assert_eq!(dirty.pushes(), dirty.iter().map(|c| c.total).sum::<u64>());
+            }
+        }
     }
 
     #[test]

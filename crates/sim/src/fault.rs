@@ -37,7 +37,7 @@
 //! fixed universe and must be fitted to a concrete machine with
 //! [`FaultPlan::normalized`] before use.
 
-use crate::channel::Channel;
+use crate::channel::Channels;
 use crate::machine::ConfigError;
 use crate::memsys::MemorySystem;
 use crate::token::Token;
@@ -275,11 +275,11 @@ pub(crate) fn apply(
     plan: &FaultPlan,
     fired: &mut [bool],
     now: u64,
-    chans: &mut [Channel<Token>],
+    chans: &mut Channels<Token>,
     mem: &mut MemorySystem,
 ) {
-    for c in chans.iter_mut() {
-        c.set_jammed(false);
+    for i in 0..chans.len() {
+        chans.set_jammed(i, false);
     }
     for c in &mut mem.caches {
         c.set_fault_jam_ports(false);
@@ -295,7 +295,7 @@ pub(crate) fn apply(
         match f {
             Fault::ChannelStuckStall { chan, from, cycles } => {
                 if window_active(now, *from, *cycles) {
-                    chans[*chan].set_jammed(true);
+                    chans.set_jammed(*chan, true);
                 }
             }
             Fault::DramLatencySpike { from, cycles, extra_latency } => {
@@ -320,12 +320,12 @@ pub(crate) fn apply(
             }
             Fault::TokenDrop { chan, at } => {
                 if now >= *at && !*fired {
-                    *fired = chans[*chan].fault_drop_front();
+                    *fired = chans.fault_drop_front(*chan);
                 }
             }
             Fault::TokenDup { chan, at } => {
                 if now >= *at && !*fired {
-                    *fired = chans[*chan].fault_duplicate_front();
+                    *fired = chans.fault_duplicate_front(*chan);
                 }
             }
         }
@@ -335,7 +335,7 @@ pub(crate) fn apply(
 
 /// The earliest cycle after `now` at which the plan's effect on the
 /// machine could change: a window fault opening or closing, or a
-/// not-yet-fired one-shot arming. The event-driven scheduler never
+/// not-yet-fired one-shot arming. The fast scheduler never
 /// fast-forwards past such a boundary, so `apply`'s cycle-by-cycle
 /// recomputation observes every window edge. One-shots already armed
 /// (`at <= now`) but still unfired contribute nothing: they trigger on

@@ -17,7 +17,7 @@
 //!   (Fig. 8 (d)).
 //! * [`BarrierUnit`] is the work-group barrier FIFO (§IV-F1).
 
-use crate::channel::{ChanId, Channel};
+use crate::channel::{ChanId, Channels};
 use crate::profile::CycleBreakdown;
 use crate::token::{Mapping, Token};
 use std::collections::VecDeque;
@@ -131,7 +131,7 @@ pub struct DecisionFifo {
 
 impl Branch {
     /// Advances one cycle.
-    pub fn tick(&mut self, chans: &mut [Channel<Token>], fifos: &mut [DecisionFifo]) {
+    pub fn tick(&mut self, chans: &mut Channels<Token>, fifos: &mut [DecisionFifo]) {
         let Some(front) = chans[self.inp.0].front() else {
             self.cycles.idle += 1;
             return;
@@ -148,10 +148,9 @@ impl Branch {
                 return;
             }
         }
-        let tok = chans[self.inp.0].pop();
+        let tok = chans.pop(self.inp.0);
         let wg = tok.wg;
-        let mapped = map.apply(&tok);
-        chans[dst.0].push(mapped);
+        chans.push(dst.0, map.apply(tok));
         if let Some(f) = self.decisions {
             fifos[f].q.push_back(wg);
         }
@@ -161,7 +160,7 @@ impl Branch {
 
 impl Select {
     /// Advances one cycle (delivers at most one work-item).
-    pub fn tick(&mut self, chans: &mut [Channel<Token>], fifos: &mut [DecisionFifo]) {
+    pub fn tick(&mut self, chans: &mut Channels<Token>, fifos: &mut [DecisionFifo]) {
         let has_input =
             chans[self.from_taken.0].can_pop() || chans[self.from_not_taken.0].can_pop();
         if !chans[self.out.0].can_push() {
@@ -197,8 +196,8 @@ impl Select {
                         chans[src.0].front().map(|t| t.wg == head_wg).unwrap_or(false);
                     if matches {
                         fifos[f].q.pop_front();
-                        let tok = chans[src.0].pop();
-                        chans[self.out.0].push(tok);
+                        let tok = chans.pop(src.0);
+                        chans.push(self.out.0, tok);
                         self.rr = !self.rr;
                         self.cycles.busy += 1;
                         return;
@@ -216,8 +215,8 @@ impl Select {
                 };
                 for src in order {
                     if chans[src.0].can_pop() {
-                        let tok = chans[src.0].pop();
-                        chans[self.out.0].push(tok);
+                        let tok = chans.pop(src.0);
+                        chans.push(self.out.0, tok);
                         self.rr = !self.rr;
                         self.cycles.busy += 1;
                         return;
@@ -233,7 +232,7 @@ impl LoopEnter {
     /// Advances one cycle. Back-edge work-items have priority — a
     /// work-item re-entering the loop must never be blocked by new
     /// arrivals, or the loop deadlocks at capacity.
-    pub fn tick(&mut self, chans: &mut [Channel<Token>], counters: &mut [u64]) {
+    pub fn tick(&mut self, chans: &mut Channels<Token>, counters: &mut [u64]) {
         let has_input =
             chans[self.backedge.0].can_pop() || chans[self.outside.0].can_pop();
         if !chans[self.out.0].can_push() {
@@ -245,8 +244,8 @@ impl LoopEnter {
             return;
         }
         if chans[self.backedge.0].can_pop() {
-            let tok = chans[self.backedge.0].pop();
-            chans[self.out.0].push(tok);
+            let tok = chans.pop(self.backedge.0);
+            chans.push(self.out.0, tok);
             self.cycles.busy += 1;
             return;
         }
@@ -273,16 +272,16 @@ impl LoopEnter {
                 return;
             }
         }
-        let tok = chans[self.outside.0].pop();
+        let tok = chans.pop(self.outside.0);
         counters[self.counter] += 1;
-        chans[self.out.0].push(tok);
+        chans.push(self.out.0, tok);
         self.cycles.busy += 1;
     }
 }
 
 impl LoopExit {
     /// Advances one cycle.
-    pub fn tick(&mut self, chans: &mut [Channel<Token>], counters: &mut [u64]) {
+    pub fn tick(&mut self, chans: &mut Channels<Token>, counters: &mut [u64]) {
         if !chans[self.inp.0].can_pop() {
             self.cycles.idle += 1;
             return;
@@ -291,7 +290,7 @@ impl LoopExit {
             self.cycles.output_stall += 1;
             return;
         }
-        let tok = chans[self.inp.0].pop();
+        let tok = chans.pop(self.inp.0);
         if counters[self.counter] == 0 {
             // Never happens in a correct machine (Theorem 1); reachable
             // under token-duplication fault injection. Saturate instead
@@ -300,18 +299,18 @@ impl LoopExit {
         } else {
             counters[self.counter] -= 1;
         }
-        chans[self.out.0].push(tok);
+        chans.push(self.out.0, tok);
         self.cycles.busy += 1;
     }
 }
 
 impl BarrierUnit {
     /// Advances one cycle: accepts one arrival and emits one release.
-    pub fn tick(&mut self, chans: &mut [Channel<Token>]) {
+    pub fn tick(&mut self, chans: &mut Channels<Token>) {
         // Accept (the barrier's storage is its own embedded-memory FIFO).
         let mut accepted = false;
         if chans[self.inp.0].can_pop() {
-            let tok = chans[self.inp.0].pop();
+            let tok = chans.pop(self.inp.0);
             self.buf.push_back(tok);
             accepted = true;
         }
@@ -329,7 +328,7 @@ impl BarrierUnit {
         let mut released = false;
         if self.releasing > 0 && chans[self.out.0].can_push() {
             let tok = self.buf.pop_front().expect("releasing implies non-empty");
-            chans[self.out.0].push(tok);
+            chans.push(self.out.0, tok);
             self.releasing -= 1;
             released = true;
         }
@@ -358,15 +357,10 @@ mod tests {
         Token { wi, wg, vals: vals.to_vec().into_boxed_slice() }
     }
 
-    fn begin(chans: &mut [Channel<Token>]) {
-        for c in chans {
-            c.begin_cycle();
-        }
-    }
 
     #[test]
     fn branch_routes_by_condition() {
-        let mut chans = vec![Channel::new(4), Channel::new(4), Channel::new(4)];
+        let mut chans = Channels::with_capacities(&[4, 4, 4]);
         let mut b = Branch {
             inp: ChanId(0),
             cond_idx: 0,
@@ -375,15 +369,15 @@ mod tests {
             decisions: None,
             cycles: CycleBreakdown::default(),
         };
-        begin(&mut chans);
-        chans[0].push(tok(1, 0, &[1]));
-        chans[0].push(tok(2, 0, &[0]));
-        begin(&mut chans);
+        chans.begin_cycle();
+        chans.push(0, tok(1, 0, &[1]));
+        chans.push(0, tok(2, 0, &[0]));
+        chans.begin_cycle();
         b.tick(&mut chans, &mut []);
         b.tick(&mut chans, &mut []);
-        begin(&mut chans);
-        assert_eq!(chans[1].pop().wi, 1);
-        assert_eq!(chans[2].pop().wi, 2);
+        chans.begin_cycle();
+        assert_eq!(chans.pop(1).wi, 1);
+        assert_eq!(chans.pop(2).wi, 2);
     }
 
     #[test]
@@ -391,8 +385,7 @@ mod tests {
         // Work-group 0's items (wi 1 taken, wi 2 not-taken) must all be
         // delivered before work-group 1's item (wi 3, taken), even though
         // wi 3 is already waiting in the taken arm.
-        let mut chans: Vec<Channel<Token>> =
-            vec![Channel::new(8), Channel::new(8), Channel::new(8)];
+        let mut chans = Channels::with_capacities(&[8, 8, 8]);
         let mut fifos = vec![DecisionFifo { q: VecDeque::new(), cap: 16 }];
         fifos[0].q.extend([0u32, 0, 1]); // branch saw wg 0, wg 0, wg 1
         let mut s = Select {
@@ -403,16 +396,16 @@ mod tests {
             rr: false,
             cycles: CycleBreakdown::default(),
         };
-        begin(&mut chans);
-        chans[0].push(tok(1, 0, &[]));
-        chans[0].push(tok(3, 1, &[])); // wg 1 queued behind wg 0 in-arm
-        chans[1].push(tok(2, 0, &[]));
+        chans.begin_cycle();
+        chans.push(0, tok(1, 0, &[]));
+        chans.push(0, tok(3, 1, &[])); // wg 1 queued behind wg 0 in-arm
+        chans.push(1, tok(2, 0, &[]));
         for _ in 0..6 {
-            begin(&mut chans);
+            chans.begin_cycle();
             s.tick(&mut chans, &mut fifos);
         }
-        begin(&mut chans);
-        let order: Vec<u32> = (0..3).map(|_| chans[2].pop().wg).collect();
+        chans.begin_cycle();
+        let order: Vec<u32> = (0..3).map(|_| chans.pop(2).wg).collect();
         assert_eq!(order, vec![0, 0, 1], "work-group order must be preserved");
     }
 
@@ -420,8 +413,7 @@ mod tests {
     fn ordered_select_allows_intra_group_reorder() {
         // Within one work-group the select may deliver from either arm —
         // required so a barrier inside one arm cannot deadlock the merge.
-        let mut chans: Vec<Channel<Token>> =
-            vec![Channel::new(8), Channel::new(8), Channel::new(8)];
+        let mut chans = Channels::with_capacities(&[8, 8, 8]);
         let mut fifos = vec![DecisionFifo { q: VecDeque::new(), cap: 16 }];
         fifos[0].q.extend([0u32, 0]);
         let mut s = Select {
@@ -432,21 +424,20 @@ mod tests {
             rr: false,
             cycles: CycleBreakdown::default(),
         };
-        begin(&mut chans);
+        chans.begin_cycle();
         // Only the not-taken arm has a token (the taken one is stuck at a
         // barrier); the select must still deliver it.
-        chans[1].push(tok(7, 0, &[]));
-        begin(&mut chans);
+        chans.push(1, tok(7, 0, &[]));
+        chans.begin_cycle();
         s.tick(&mut chans, &mut fifos);
-        begin(&mut chans);
-        assert_eq!(chans[2].pop().wi, 7);
+        chans.begin_cycle();
+        assert_eq!(chans.pop(2).wi, 7);
         assert_eq!(fifos[0].q.len(), 1);
     }
 
     #[test]
     fn loop_enter_enforces_nmax_and_prioritizes_backedge() {
-        let mut chans: Vec<Channel<Token>> =
-            vec![Channel::new(8), Channel::new(8), Channel::new(8)];
+        let mut chans = Channels::with_capacities(&[8, 8, 8]);
         let mut counters = vec![0u64];
         let mut e = LoopEnter {
             outside: ChanId(0),
@@ -458,19 +449,19 @@ mod tests {
             cur_wg: 0,
             cycles: CycleBreakdown::default(),
         };
-        begin(&mut chans);
-        chans[0].push(tok(1, 0, &[]));
-        chans[0].push(tok(2, 0, &[]));
-        begin(&mut chans);
+        chans.begin_cycle();
+        chans.push(0, tok(1, 0, &[]));
+        chans.push(0, tok(2, 0, &[]));
+        chans.begin_cycle();
         e.tick(&mut chans, &mut counters);
         assert_eq!(counters[0], 1);
-        begin(&mut chans);
+        chans.begin_cycle();
         e.tick(&mut chans, &mut counters); // nmax reached: wi 2 must wait
         assert_eq!(counters[0], 1);
         assert_eq!(chans[2].len(), 1);
         // A back-edge token goes through even at capacity.
-        chans[1].push(tok(1, 0, &[]));
-        begin(&mut chans);
+        chans.push(1, tok(1, 0, &[]));
+        chans.begin_cycle();
         e.tick(&mut chans, &mut counters);
         assert_eq!(chans[2].len(), 2);
         assert_eq!(counters[0], 1);
@@ -478,8 +469,7 @@ mod tests {
 
     #[test]
     fn swgr_admits_one_group_at_a_time() {
-        let mut chans: Vec<Channel<Token>> =
-            vec![Channel::new(8), Channel::new(8), Channel::new(8)];
+        let mut chans = Channels::with_capacities(&[8, 8, 8]);
         let mut counters = vec![0u64];
         let mut e = LoopEnter {
             outside: ChanId(0),
@@ -491,24 +481,24 @@ mod tests {
             cur_wg: 0,
             cycles: CycleBreakdown::default(),
         };
-        begin(&mut chans);
-        chans[0].push(tok(1, 0, &[]));
-        chans[0].push(tok(2, 1, &[])); // different work-group
-        begin(&mut chans);
+        chans.begin_cycle();
+        chans.push(0, tok(1, 0, &[]));
+        chans.push(0, tok(2, 1, &[])); // different work-group
+        chans.begin_cycle();
         e.tick(&mut chans, &mut counters);
-        begin(&mut chans);
+        chans.begin_cycle();
         e.tick(&mut chans, &mut counters);
         assert_eq!(chans[2].len(), 1, "wg 1 must wait until the loop drains");
         // Drain the loop (simulate exit): counter to 0.
         counters[0] = 0;
-        begin(&mut chans);
+        chans.begin_cycle();
         e.tick(&mut chans, &mut counters);
         assert_eq!(chans[2].len(), 2);
     }
 
     #[test]
     fn barrier_releases_full_group() {
-        let mut chans: Vec<Channel<Token>> = vec![Channel::new(8), Channel::new(8)];
+        let mut chans = Channels::with_capacities(&[8, 8]);
         let mut b = BarrierUnit {
             inp: ChanId(0),
             out: ChanId(1),
@@ -518,17 +508,17 @@ mod tests {
             order_violation: false,
             cycles: CycleBreakdown::default(),
         };
-        begin(&mut chans);
-        chans[0].push(tok(1, 0, &[]));
-        begin(&mut chans);
+        chans.begin_cycle();
+        chans.push(0, tok(1, 0, &[]));
+        chans.begin_cycle();
         b.tick(&mut chans);
         assert!(chans[1].is_empty(), "half a group must not release");
-        chans[0].push(tok(2, 0, &[]));
-        begin(&mut chans);
+        chans.push(0, tok(2, 0, &[]));
+        chans.begin_cycle();
         b.tick(&mut chans);
-        begin(&mut chans);
+        chans.begin_cycle();
         b.tick(&mut chans);
-        begin(&mut chans);
+        chans.begin_cycle();
         b.tick(&mut chans);
         assert_eq!(chans[1].len(), 2, "full group releases");
     }

@@ -38,7 +38,6 @@
 //! ```
 
 pub mod channel;
-pub(crate) mod compiled;
 pub mod diag;
 pub mod fault;
 pub mod glue;
@@ -46,7 +45,7 @@ pub mod launch;
 pub mod machine;
 pub mod memsys;
 pub mod profile;
-pub mod tickvm;
+pub(crate) mod tickvm;
 pub mod token;
 pub mod units;
 

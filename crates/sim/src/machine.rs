@@ -11,17 +11,16 @@
 //! Restore-then-run is bit-identical to an uninterrupted run under both
 //! schedulers — the checkpoint differential tests pin that down.
 
-use crate::channel::{ChanId, Channel};
-use crate::compiled;
+use crate::channel::{ChanId, Channels};
 use crate::diag::{self, DeadlockReport};
 use crate::fault::{self, FaultPlan};
 use crate::glue::{BarrierUnit, Branch, DecisionFifo, LoopEnter, LoopExit, Select};
 use crate::launch::LaunchCtx;
 use crate::memsys::{CachePlan, MemTarget, MemorySystem};
 use crate::profile::{self, CycleBreakdown, ProfileConfig, ProfileReport, Profiler};
-use crate::tickvm::TickProgram;
+use crate::tickvm::{self, TickProgram};
 use crate::token::{edge_mapping, Mapping, Token};
-use crate::units::{LineBufUnit, PipelineSim};
+use crate::units::{LineBufUnit, PipeCode, PipelineSim};
 use soff_datapath::{Datapath, PipeNode};
 use soff_ir::interp::InterpError;
 use soff_ir::ir::{BlockId, InstKind, Kernel, NdRange, ValueId};
@@ -32,6 +31,7 @@ use soff_mem::{
     CacheConfig, CacheStats, DramConfig, DramStats, LineBufConfig, LineBufStats, LineBuffer,
     PortId,
 };
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -41,35 +41,27 @@ use std::time::{Duration, Instant};
 
 /// Which main-loop strategy drives the machine.
 ///
-/// All schedulers execute the *same* per-cycle semantics and produce
-/// bit-identical [`SimResult`]s (cycle counts, per-cache statistics,
-/// memory contents, error reports). `EventDriven` and `Compiled` merely
-/// skip work they can prove is a no-op: component ticks whose handshakes
-/// cannot fire, and whole stretches of cycles where the entire machine
-/// is idle waiting on a scheduled memory event (which they fast-forward
-/// across, replaying the stall counters in closed form).
+/// Both schedulers run the same tick program (the component graph and
+/// every pipeline's unit table, lowered at elaboration) with the *same*
+/// per-cycle semantics, and produce bit-identical [`SimResult`]s (cycle
+/// counts, per-cache statistics, memory contents, error reports,
+/// profiles). Snapshot fingerprints exclude the scheduler, so a snapshot
+/// taken under one restores under the other and continues
+/// bit-identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
-    /// Tick every component every cycle — the reference model.
+    /// Tick every component and every unit every cycle, and refresh every
+    /// channel — the reference model.
     Dense,
-    /// Active-set scheduling with quiescent-gap fast-forward.
+    /// Skip work provably a no-op: components and units that cannot act,
+    /// channels nobody touched, and whole stretches of cycles in which
+    /// the machine only waits on a scheduled memory event (fast-forwarded,
+    /// with the stall counters replayed in closed form).
     ///
-    /// Falls back to dense stepping while profiling is enabled: the
-    /// profiler observes the machine once per simulated cycle by design,
-    /// so there are no skippable cycles to exploit.
+    /// Runs exactly like `Dense` while profiling is enabled: the profiler
+    /// observes every unit once per simulated cycle.
     #[default]
-    EventDriven,
-    /// Lowers the component graph once into a flat tick program
-    /// ([`crate::tickvm::TickProgram`]) and dispatches it directly
-    /// ([`crate::compiled`]): same skip conditions as `EventDriven`, but
-    /// decided from pre-resolved operand indices and a hot-state mirror
-    /// instead of re-derived from the component graph every cycle.
-    ///
-    /// Like `EventDriven`, degenerates to dense stepping while profiling
-    /// is enabled. Snapshot fingerprints exclude the scheduler knob, so
-    /// a snapshot taken under any scheduler restores under this one (and
-    /// vice versa) and continues bit-identically.
-    Compiled,
+    Fast,
 }
 
 /// Simulator configuration.
@@ -167,9 +159,9 @@ impl CancelToken {
     }
 }
 
-/// Per-run budgets and cancellation, checked inside both scheduler
-/// loops. The default is unlimited (exactly the historical behaviour of
-/// [`run`]).
+/// Per-run budgets and cancellation, checked inside the run loop under
+/// either scheduler. The default is unlimited (exactly the historical
+/// behaviour of [`run`]).
 ///
 /// Cycle deadlines are *deterministic*: the run stops before executing
 /// the deadline cycle, so two runs with the same deadline stop at the
@@ -392,7 +384,7 @@ struct Dispatcher {
 /// never needs to be serialized; rebuilding it reproduces it exactly).
 #[derive(Clone)]
 struct MachineState {
-    chans: Vec<Channel<Token>>,
+    chans: Channels<Token>,
     comps: Vec<Comp>,
     fifos: Vec<DecisionFifo>,
     counters: Vec<u64>,
@@ -508,16 +500,12 @@ pub struct Machine<'a> {
     gate_wgs: bool,
     deadlock_window: u64,
     livelock_window: u64,
-    /// Event-driven stepping enabled (scheduler = EventDriven and the
-    /// profiler is off).
-    ed: bool,
-    /// Quiescent-gap fast-forward enabled (any skipping scheduler —
-    /// EventDriven or Compiled — with the profiler off).
-    ff: bool,
-    /// The lowered tick program (scheduler = Compiled). Static
-    /// scaffolding plus a dynamic hot-state mirror, so it lives outside
-    /// [`MachineState`]; [`Machine::restore`] resyncs the mirror.
-    prog: Option<TickProgram>,
+    /// Skipping enabled: scheduler = Fast and the profiler off.
+    skip: bool,
+    /// The lowered tick program: static scaffolding plus the hot-state
+    /// bytes, so it lives outside [`MachineState`];
+    /// [`Machine::restore`] resyncs the bytes.
+    prog: TickProgram,
     fingerprint: u64,
     st: MachineState,
 }
@@ -605,7 +593,9 @@ impl<'a> Machine<'a> {
             plan: &plan,
             pa: &pa,
             mem: &mut mem,
-            chans: Vec::new(),
+            chans: Channels::default(),
+            codes: vec![None; dp.basics.len()],
+            maps: RefCell::default(),
             comps: Vec::new(),
             metas: Vec::new(),
             fifos: Vec::new(),
@@ -621,6 +611,7 @@ impl<'a> Machine<'a> {
 
         let root = dp.root.clone();
         let mut dispatchers = Vec::with_capacity(n_inst);
+        let mut inst_ends = Vec::with_capacity(n_inst);
         for inst in 0..n_inst {
             b.inst = inst;
             let entry = b.new_chan(2);
@@ -629,7 +620,8 @@ impl<'a> Machine<'a> {
                 b.live_in_sig(dp.root_entry_block()).is_empty(),
                 "entry block must have an empty live-in signature"
             );
-            b.build_node(&root, entry, retire, None);
+            b.build_node(&root, entry, retire, None)?;
+            inst_ends.push(b.comps.len());
             dispatchers.push(Dispatcher { entry, retire, cur: None, active: HashMap::new() });
         }
         // One observational component per line buffer, after all instances
@@ -669,12 +661,10 @@ impl<'a> Machine<'a> {
         let gate_wgs = kernel.uses_local;
         let (deadlock_window, livelock_window) =
             diag::effective_windows(cfg, dp.l_datapath, wg_size);
-        // The skipping schedulers degenerate to dense stepping while the
-        // profiler is on: it observes the machine once per simulated
-        // cycle, so no cycle is skippable.
-        let ed = cfg.scheduler == Scheduler::EventDriven && cfg.profile.is_none();
-        let ff = cfg.scheduler != Scheduler::Dense && cfg.profile.is_none();
-        let prog = (cfg.scheduler == Scheduler::Compiled).then(|| TickProgram::lower(&comps));
+        // Fast degenerates to dense stepping while the profiler is on: it
+        // observes every unit once per simulated cycle.
+        let skip = cfg.scheduler == Scheduler::Fast && cfg.profile.is_none();
+        let prog = TickProgram::lower(&comps, &inst_ends);
 
         // The identity a snapshot must match to be restorable here:
         // kernel, machine topology, launch shape, and every configuration
@@ -725,8 +715,7 @@ impl<'a> Machine<'a> {
             gate_wgs,
             deadlock_window,
             livelock_window,
-            ed,
-            ff,
+            skip,
             prog,
             fingerprint,
             st: MachineState {
@@ -803,13 +792,9 @@ impl<'a> Machine<'a> {
         }
         self.st = snap.st.clone();
         *gm = snap.gm.clone();
-        // The tick program's ops are pure scaffolding, but its hot-state
-        // mirror tracks the components just replaced wholesale — rebuild
-        // it (snapshots may also come from a differently-scheduled
-        // machine, which has no mirror at all).
-        if let Some(prog) = self.prog.as_mut() {
-            prog.resync(&self.st.comps);
-        }
+        // The tick program's ops are pure scaffolding, but its hot bytes
+        // track the components just replaced wholesale.
+        self.prog.resync(&self.st.comps);
         Ok(())
     }
 
@@ -882,11 +867,13 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Executes one simulated cycle (or, event-driven, a quiescent gap).
+    /// Executes one simulated cycle (or, under `Fast`, a quiescent gap).
     fn step(&mut self, gm: &mut GlobalMemory, ctl: &RunControl) -> Step {
         let now = self.st.now;
-        for c in &mut self.st.chans {
-            c.begin_cycle();
+        if self.skip {
+            self.st.chans.begin_cycle();
+        } else {
+            self.st.chans.begin_cycle_all();
         }
         if !self.cfg.faults.is_empty() {
             fault::apply(
@@ -916,111 +903,37 @@ impl<'a> Machine<'a> {
             }
             if let Some((wg, lid)) = &mut d.cur {
                 let wi = (*wg * self.wg_size + *lid) as u32;
-                self.st.chans[d.entry.0]
-                    .push(Token { wi, wg: *wg as u32, vals: Box::new([]) });
+                self.st.chans.push(d.entry.0, Token { wi, wg: *wg as u32, vals: Box::new([]) });
                 *lid += 1;
                 if *lid == self.wg_size {
                     d.cur = None;
                 }
             }
         }
-        // Datapath components. Under event-driven scheduling, a component
-        // whose handshakes provably cannot fire this cycle is skipped —
-        // its tick would only advance profile-gated attribution counters,
-        // and the profiler is off whenever `ed` is set. Skip conditions
-        // mirror each component's own gating exactly (note: branch/select
-        // pop through `front()`, which ignores jamming, so their skip
-        // conditions must too).
-        let ed = self.ed;
-        let chans = &mut self.st.chans;
-        let mut comp_moved = false;
-        if let Some(prog) = self.prog.as_mut() {
-            // Compiled dispatch: same skip conditions, same component
-            // order, decided from the flat op stream (see
-            // `compiled::exec_cycle`). Skipping is disabled under
-            // profiling, exactly like the interpreted schedulers.
-            comp_moved = compiled::exec_cycle(
-                prog,
-                now,
-                chans,
-                &mut self.st.comps,
-                &mut self.st.fifos,
-                &mut self.st.counters,
-                &mut self.st.mem,
-                &self.launch,
-                self.kernel,
-                self.cfg.profile.is_none(),
-            );
-        } else {
-            for c in &mut self.st.comps {
-                match c {
-                    Comp::Pipe(p) => {
-                        if ed && p.quiescent(chans) {
-                            continue;
-                        }
-                        comp_moved |=
-                            p.tick(now, chans, &mut self.st.mem, &self.launch, self.kernel);
-                    }
-                    Comp::Branch(x) => {
-                        if ed && chans[x.inp.0].front().is_none() {
-                            continue;
-                        }
-                        x.tick(chans, &mut self.st.fifos);
-                    }
-                    Comp::Select(x) => {
-                        if ed
-                            && chans[x.from_taken.0].front().is_none()
-                            && chans[x.from_not_taken.0].front().is_none()
-                        {
-                            continue;
-                        }
-                        x.tick(chans, &mut self.st.fifos);
-                    }
-                    Comp::Enter(x) => {
-                        if ed
-                            && (!chans[x.out.0].can_push()
-                                || (!chans[x.backedge.0].can_pop()
-                                    && chans[x.outside.0].front().is_none()))
-                        {
-                            continue;
-                        }
-                        x.tick(chans, &mut self.st.counters);
-                    }
-                    Comp::Exit(x) => {
-                        if ed && (!chans[x.inp.0].can_pop() || !chans[x.out.0].can_push()) {
-                            continue;
-                        }
-                        x.tick(chans, &mut self.st.counters);
-                    }
-                    Comp::Barrier(x) => {
-                        let can_act = chans[x.inp.0].can_pop()
-                            || (x.releasing == 0 && x.buf.len() as u64 >= x.wg_size)
-                            || (x.releasing > 0 && chans[x.out.0].can_push());
-                        if ed && !can_act {
-                            continue;
-                        }
-                        x.tick(chans);
-                    }
-                    Comp::LineBuf(u) => {
-                        // Purely observational (the line buffer itself
-                        // ticks inside `MemorySystem::tick`): skipped
-                        // wholesale when event-driven — profiling forces
-                        // dense stepping, which is when the attribution
-                        // matters.
-                        if ed {
-                            continue;
-                        }
-                        u.tick(&self.st.mem);
-                    }
-                }
-            }
-        }
+        // Datapath components, in component order (see `tickvm`). An
+        // instance holds tokens only while it has a work-group in flight;
+        // token-loss and duplication faults break that accounting, so
+        // under any fault plan every instance runs.
+        let dispatchers = &self.st.dispatchers;
+        let faulted = !self.cfg.faults.is_empty();
+        let comp_moved = tickvm::exec_cycle(
+            &mut self.prog,
+            now,
+            &mut self.st.chans,
+            &mut self.st.comps,
+            &mut self.st.fifos,
+            &mut self.st.counters,
+            &mut self.st.mem,
+            &self.launch,
+            self.skip,
+            |g| faulted || dispatchers.get(g).is_none_or(|d| !d.active.is_empty()),
+        );
         // Memory subsystem.
         let mem_moved = self.st.mem.tick(now, gm);
         // Work-item counter (§III-B).
         for d in &mut self.st.dispatchers {
             while self.st.chans[d.retire.0].can_pop() {
-                let tok = self.st.chans[d.retire.0].pop();
+                let tok = self.st.chans.pop(d.retire.0);
                 self.st.retired += 1;
                 self.st.mem.private.release(tok.wi);
                 // A retirement for a work-group that already completed
@@ -1062,9 +975,7 @@ impl<'a> Machine<'a> {
             });
         }
         if self.cfg.check_invariants {
-            if let Some(what) =
-                check_invariants(&self.st.comps, &self.st.counters, &self.metas, &self.st.mem, now)
-            {
+            if let Some(what) = check_invariants(&self.st, &self.metas, now) {
                 return Step::Fail(SimError::InvariantViolation { cycle: now, what });
             }
         }
@@ -1113,22 +1024,21 @@ impl<'a> Machine<'a> {
         // Progress / deadlock detection. Two watchdogs: the progress
         // watchdog (no token moved anywhere) and the retire-progress
         // watchdog (tokens move but nothing ever finishes — a livelock).
-        let metric = self.st.retired
-            + self.st.chans.iter().map(|c| c.total).sum::<u64>()
-            + self.st.mem.cache_stats().accesses
-            + self.st.mem.lb_stats().accesses;
+        // The progress metric sums counters that only grow — work-items
+        // retired, channel pushes, requests accepted by caches and line
+        // buffers — each kept current as its events happen.
+        let metric = self.st.retired + self.st.chans.pushes() + self.st.mem.accesses();
         if metric != self.st.last_metric {
             self.st.last_metric = metric;
+            self.st.last_progress = now;
+        } else if self.st.mem.has_pending_events(now) {
+            // Memory has responses scheduled for future cycles: the
+            // machine is slow, not stuck (e.g. a DRAM latency spike).
             self.st.last_progress = now;
         }
         if self.st.retired != self.st.last_retired {
             self.st.last_retired = self.st.retired;
             self.st.last_retire_progress = now;
-        }
-        if self.st.mem.has_pending_events(now) {
-            // Memory has responses scheduled for future cycles: the
-            // machine is slow, not stuck (e.g. a DRAM latency spike).
-            self.st.last_progress = now;
         }
         let fired = if now - self.st.last_progress > self.deadlock_window {
             Some((self.st.last_progress, false))
@@ -1186,7 +1096,7 @@ impl<'a> Machine<'a> {
         // until the next *scheduled* event. Jump straight to that cycle,
         // replaying in closed form the only per-cycle side effects dense
         // stepping would have produced (stall counters).
-        if self.ff && !comp_moved && !mem_moved && !self.st.chans.iter().any(|c| c.touched()) {
+        if self.skip && !comp_moved && !mem_moved && !self.st.chans.touched() {
             let t_mem = self.st.mem.next_event_cycle(now);
             debug_assert_eq!(
                 t_mem.is_some(),
@@ -1198,7 +1108,7 @@ impl<'a> Machine<'a> {
                 .comps
                 .iter()
                 .filter_map(|c| match c {
-                    Comp::Pipe(p) => p.next_internal_event(now),
+                    Comp::Pipe(p) if !p.is_empty() => p.next_internal_event(now),
                     _ => None,
                 })
                 .min();
@@ -1249,7 +1159,6 @@ impl<'a> Machine<'a> {
                                 &mut self.st.chans,
                                 &mut self.st.mem,
                                 &self.launch,
-                                self.kernel,
                                 skipped,
                             );
                         }
@@ -1281,13 +1190,23 @@ enum Step {
 
 /// Per-cycle invariant sweep ([`SimConfig::check_invariants`]): the debug
 /// assertions of the fault-free machine, promoted to structured errors.
-fn check_invariants(
-    comps: &[Comp],
-    counters: &[u64],
-    metas: &[String],
-    mem: &MemorySystem,
-    now: u64,
-) -> Option<String> {
+fn check_invariants(st: &MachineState, metas: &[String], now: u64) -> Option<String> {
+    let (comps, counters, mem) = (&st.comps, &st.counters, &st.mem);
+    // The watchdog's incremental progress counters against a recount.
+    let pushes: u64 = st.chans.iter().map(|c| c.total).sum();
+    if pushes != st.chans.pushes() {
+        return Some(format!(
+            "channel push counter {} diverged from the recount {pushes}",
+            st.chans.pushes()
+        ));
+    }
+    let accesses = mem.cache_stats().accesses + mem.lb_stats().accesses;
+    if accesses != mem.accesses() {
+        return Some(format!(
+            "memory access counter {} diverged from the recount {accesses}",
+            mem.accesses()
+        ));
+    }
     for (i, c) in mem.caches.iter().enumerate() {
         if !c.mshr_counter_consistent(now) {
             return Some(format!(
@@ -1369,7 +1288,12 @@ struct Builder<'a> {
     plan: &'a CachePlan,
     pa: &'a pointer::PointerAnalysis,
     mem: &'a mut MemorySystem,
-    chans: Vec<Channel<Token>>,
+    chans: Channels<Token>,
+    /// Each basic pipeline's unit table, lowered by its first instance
+    /// and shared by the rest.
+    codes: Vec<Option<Arc<PipeCode>>>,
+    /// Glue mappings per CFG edge (see `map_edge`).
+    maps: RefCell<HashMap<(BlockId, Option<BlockId>), Mapping>>,
     comps: Vec<Comp>,
     /// Human-readable name per component (parallel to `comps`), consumed
     /// by the deadlock forensics to name culprits.
@@ -1394,8 +1318,7 @@ const GLUE_CAP: usize = 2;
 
 impl<'a> Builder<'a> {
     fn new_chan(&mut self, cap: usize) -> ChanId {
-        self.chans.push(Channel::new(cap));
-        ChanId(self.chans.len() - 1)
+        self.chans.add(cap)
     }
 
     fn push_comp(&mut self, c: Comp, label: String) {
@@ -1415,9 +1338,11 @@ impl<'a> Builder<'a> {
         &self.dp.basics[self.basic_idx(b)].dfg.live_out
     }
 
-    /// Mapping for CFG edge `p → s` (`None` = kernel exit: empty token).
+    /// Mapping for CFG edge `p → s` (`None` = kernel exit: empty token),
+    /// computed by the first instance and copied by the rest.
     fn map_edge(&self, p: BlockId, s: Option<BlockId>) -> Mapping {
-        match s {
+        let mut maps = self.maps.borrow_mut();
+        let map = maps.entry((p, s)).or_insert_with(|| match s {
             None => Mapping { slots: Vec::new(), identity: false },
             Some(s) => edge_mapping(
                 self.k,
@@ -1427,101 +1352,106 @@ impl<'a> Builder<'a> {
                 self.live_in_sig(s),
                 &self.launch.params,
             ),
-        }
+        });
+        map.clone()
     }
 
-    /// Builds the pipeline for block-index `bidx`, with the sink either
-    /// mapping directly onto `succ`'s signature or (for condition blocks)
-    /// emitting the raw live-out signature for a branch glue.
+    /// Builds the pipeline for block-index `bidx`. Its sink maps onto the
+    /// live-in of `succ` (`Some(None)`: the kernel exit's empty token), or
+    /// with `succ == None` emits the raw live-out signature for a branch
+    /// glue.
     fn build_basic(
         &mut self,
         bidx: usize,
         in_chan: ChanId,
         out_chan: ChanId,
-        map: Option<Mapping>,
-    ) {
-        let bp = &self.dp.basics[bidx];
-        let block = bp.dfg.block;
+        succ: Option<Option<BlockId>>,
+    ) -> Result<(), SimError> {
+        let block = self.dp.basics[bidx].dfg.block;
+        let code = match &self.codes[bidx] {
+            Some(code) => Arc::clone(code),
+            None => {
+                let map = succ.map(|s| self.map_edge(block, s));
+                let bp = &self.dp.basics[bidx];
+                let code =
+                    Arc::new(PipeCode::build(self.k, bp, map.as_ref(), &self.launch.params)?);
+                self.codes[bidx] = Some(Arc::clone(&code));
+                code
+            }
+        };
         let k = self.k;
         let plan = self.plan;
         let pa = self.pa;
         let inst = self.inst;
         let n_inst = self.n_inst;
         let nvars = self.nvars;
-        let profile = self.profile;
         let windows = self.window_of_value;
         let mem = &mut *self.mem;
         let local_next_port = &mut self.local_next_port;
-        let pipe = PipelineSim::build(
-            k,
-            bp,
-            in_chan,
-            out_chan,
-            map,
-            &self.launch.params,
-            profile,
-            |v: ValueId, _class| -> (MemTarget, PortId) {
-                let (space, addr) = match &k.instr(v).kind {
-                    InstKind::Load { space, addr, .. }
-                    | InstKind::Store { space, addr, .. }
-                    | InstKind::Atomic { space, addr, .. } => (*space, *addr),
-                    other => panic!("memory port for non-memory {other:?}"),
-                };
-                use soff_frontend::types::AddressSpace;
-                match space {
-                    AddressSpace::Global | AddressSpace::Constant => {
-                        // Window loads route to the group's line buffer;
-                        // the group's cache stays built but portless (the
-                        // inert cache preserves fault-plan and statistics
-                        // indices — synthesis would elide it).
-                        if let Some(&w) = windows.get(&v) {
-                            let idx = w * n_inst + inst;
-                            let port = mem.line_bufs[idx].add_port();
-                            (MemTarget::LineBuf(idx), port)
-                        } else {
-                            let g = plan.group_of_value[v.0 as usize]
-                                .expect("global access without cache group");
-                            let idx = plan.cache_index(g, inst);
-                            let port = mem.caches[idx].add_port();
-                            (MemTarget::Cache(idx), port)
-                        }
-                    }
-                    AddressSpace::Local => {
-                        let var = match pa.of(addr) {
-                            Provenance::Local(var) => var,
-                            other => panic!(
-                                "local access {v} has imprecise provenance {other:?}; \
-                                 SOFF requires each unit to connect to one local block"
-                            ),
-                        };
-                        let idx = inst * nvars + var;
-                        let port = PortId(local_next_port[idx]);
-                        local_next_port[idx] += 1;
-                        (MemTarget::Local(idx), port)
-                    }
-                    AddressSpace::Private => {
-                        let port = mem.add_private_port();
-                        (MemTarget::Private, port)
+        let pipe = PipelineSim::new(code, in_chan, out_chan, self.profile, |v| {
+            let (space, addr) = match &k.instr(v).kind {
+                InstKind::Load { space, addr, .. }
+                | InstKind::Store { space, addr, .. }
+                | InstKind::Atomic { space, addr, .. } => (*space, *addr),
+                other => panic!("memory port for non-memory {other:?}"),
+            };
+            use soff_frontend::types::AddressSpace;
+            match space {
+                AddressSpace::Global | AddressSpace::Constant => {
+                    // Window loads route to the group's line buffer; the
+                    // group's cache stays built but portless (the inert
+                    // cache preserves fault-plan and statistics indices —
+                    // synthesis would elide it).
+                    if let Some(&w) = windows.get(&v) {
+                        let idx = w * n_inst + inst;
+                        let port = mem.line_bufs[idx].add_port();
+                        (MemTarget::LineBuf(idx), port)
+                    } else {
+                        let g = plan.group_of_value[v.0 as usize]
+                            .expect("global access without cache group");
+                        let idx = plan.cache_index(g, inst);
+                        let port = mem.caches[idx].add_port();
+                        (MemTarget::Cache(idx), port)
                     }
                 }
-            },
-        );
+                AddressSpace::Local => {
+                    let var = match pa.of(addr) {
+                        Provenance::Local(var) => var,
+                        other => panic!(
+                            "local access {v} has imprecise provenance {other:?}; \
+                             SOFF requires each unit to connect to one local block"
+                        ),
+                    };
+                    let idx = inst * nvars + var;
+                    let port = PortId(local_next_port[idx]);
+                    local_next_port[idx] += 1;
+                    (MemTarget::Local(idx), port)
+                }
+                AddressSpace::Private => {
+                    let port = mem.add_private_port();
+                    (MemTarget::Private, port)
+                }
+            }
+        });
         let label = format!("pipeline {} (inst {})", block, self.inst);
         self.push_comp(Comp::Pipe(pipe), label);
+        Ok(())
     }
 
     /// Builds `node`, consuming tokens from `in_chan` (signature =
     /// live-in of the node's entry block) and producing tokens on
     /// `out_chan` (signature = live-in of `succ`, or empty for the kernel
     /// exit).
-    fn build_node(&mut self, node: &PipeNode, in_chan: ChanId, out_chan: ChanId, succ: Option<BlockId>) {
+    fn build_node(
+        &mut self,
+        node: &PipeNode,
+        in_chan: ChanId,
+        out_chan: ChanId,
+        succ: Option<BlockId>,
+    ) -> Result<(), SimError> {
         match node {
-            PipeNode::Basic(i) => {
-                let b = self.dp.basics[*i].dfg.block;
-                let map = self.map_edge(b, succ);
-                self.build_basic(*i, in_chan, out_chan, Some(map));
-            }
-            PipeNode::Seq(children) => self.build_seq(children, in_chan, out_chan, succ),
+            PipeNode::Basic(i) => self.build_basic(*i, in_chan, out_chan, Some(succ))?,
+            PipeNode::Seq(children) => self.build_seq(children, in_chan, out_chan, succ)?,
             PipeNode::Barrier { .. } => {
                 // Standalone barrier in a sequence is handled by build_seq.
                 unreachable!("barrier outside a sequence")
@@ -1529,7 +1459,7 @@ impl<'a> Builder<'a> {
             PipeNode::IfThen { cond, then, order_fifo } => {
                 let b = self.dp.basics[*cond].dfg.block;
                 let raw = self.new_chan(GLUE_CAP);
-                self.build_basic(*cond, in_chan, raw, None);
+                self.build_basic(*cond, in_chan, raw, None)?;
                 let then_entry = entry_of(then, &self.dp.basics);
                 let then_in = self.new_chan(GLUE_CAP);
                 let sel_t = self.new_chan(GLUE_CAP);
@@ -1547,7 +1477,7 @@ impl<'a> Builder<'a> {
                     }),
                     format!("branch {b} (inst {})", self.inst),
                 );
-                self.build_node(then, then_in, sel_t, succ);
+                self.build_node(then, then_in, sel_t, succ)?;
                 self.push_comp(
                     Comp::Select(Select {
                         from_taken: sel_t,
@@ -1563,7 +1493,7 @@ impl<'a> Builder<'a> {
             PipeNode::IfThenElse { cond, then, els, order_fifo } => {
                 let b = self.dp.basics[*cond].dfg.block;
                 let raw = self.new_chan(GLUE_CAP);
-                self.build_basic(*cond, in_chan, raw, None);
+                self.build_basic(*cond, in_chan, raw, None)?;
                 let then_entry = entry_of(then, &self.dp.basics);
                 let els_entry = entry_of(els, &self.dp.basics);
                 let then_in = self.new_chan(GLUE_CAP);
@@ -1585,8 +1515,8 @@ impl<'a> Builder<'a> {
                     }),
                     format!("branch {b} (inst {})", self.inst),
                 );
-                self.build_node(then, then_in, sel_t, succ);
-                self.build_node(els, els_in, sel_f, succ);
+                self.build_node(then, then_in, sel_t, succ)?;
+                self.build_node(els, els_in, sel_f, succ)?;
                 self.push_comp(
                     Comp::Select(Select {
                         from_taken: sel_t,
@@ -1620,7 +1550,7 @@ impl<'a> Builder<'a> {
                     format!("loop-enter {b} (inst {})", self.inst),
                 );
                 let raw = self.new_chan(GLUE_CAP);
-                self.build_basic(*cond, enter_out, raw, None);
+                self.build_basic(*cond, enter_out, raw, None)?;
                 let body_in = self.new_chan(GLUE_CAP);
                 let exit_in = self.new_chan(GLUE_CAP);
                 self.push_comp(
@@ -1634,7 +1564,7 @@ impl<'a> Builder<'a> {
                     }),
                     format!("loop-branch {b} (inst {})", self.inst),
                 );
-                self.build_node(body, body_in, backedge, Some(b));
+                self.build_node(body, body_in, backedge, Some(b))?;
                 self.push_comp(
                     Comp::Exit(LoopExit {
                         inp: exit_in,
@@ -1683,11 +1613,11 @@ impl<'a> Builder<'a> {
                     enter_out
                 } else {
                     let chan = self.new_chan(GLUE_CAP);
-                    self.build_seq_prefix(prefix, enter_out, chan, last_block);
+                    self.build_seq(prefix, enter_out, chan, Some(last_block))?;
                     chan
                 };
                 let raw = self.new_chan(GLUE_CAP);
-                self.build_basic(last, last_in, raw, None);
+                self.build_basic(last, last_in, raw, None)?;
                 let exit_in = self.new_chan(GLUE_CAP);
                 self.push_comp(
                     Comp::Branch(Branch {
@@ -1712,6 +1642,7 @@ impl<'a> Builder<'a> {
                 );
             }
         }
+        Ok(())
     }
 
     /// Builds the children of a sequence, handling barrier elements.
@@ -1721,7 +1652,7 @@ impl<'a> Builder<'a> {
         in_chan: ChanId,
         out_chan: ChanId,
         succ: Option<BlockId>,
-    ) {
+    ) -> Result<(), SimError> {
         // Entry block of the element each child hands its tokens to.
         let next_entry: Vec<Option<BlockId>> = (0..children.len())
             .map(|j| {
@@ -1755,23 +1686,12 @@ impl<'a> Builder<'a> {
                 _ => {
                     let child_succ = if is_last { succ } else { next_entry[i] };
                     let out = if is_last { out_chan } else { self.new_chan(GLUE_CAP) };
-                    self.build_node(child, cur_in, out, child_succ);
+                    self.build_node(child, cur_in, out, child_succ)?;
                     cur_in = out;
                 }
             }
         }
-    }
-
-    /// Builds a self-loop body prefix whose final successor is the loop's
-    /// condition-carrying last block.
-    fn build_seq_prefix(
-        &mut self,
-        children: &[PipeNode],
-        in_chan: ChanId,
-        out_chan: ChanId,
-        succ_block: BlockId,
-    ) {
-        self.build_seq(children, in_chan, out_chan, Some(succ_block));
+        Ok(())
     }
 
     /// Index of the branch condition within a block's raw live-out.

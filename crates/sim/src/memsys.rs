@@ -11,7 +11,7 @@ use soff_mem::{
     Cache, CacheConfig, CacheStats, Dram, DramConfig, LineBufStats, LineBuffer, LocalBlock,
     MemRequest, MemResponse, PortId, PrivateMemory,
 };
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 /// Which memory a functional unit's interface is wired to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,11 +44,13 @@ pub struct MemorySystem {
     pub private: PrivateMemory,
     /// Shared external memory.
     pub dram: Dram,
-    /// Private-access latency (responses are immediate; the issuing unit
-    /// applies its own `L_F`).
-    responses_private: HashMap<usize, std::collections::VecDeque<(u64, MemResponse)>>,
-    next_private_port: usize,
+    /// Private-memory responses per port, each with its ready cycle.
+    responses_private: Vec<VecDeque<(u64, MemResponse)>>,
+    /// Private-access latency (the issuing unit applies its own `L_F`).
     private_latency: u32,
+    /// Requests ever accepted by the caches and line buffers (the memory
+    /// share of the machine's progress watchdog), kept current by `tick`.
+    accesses: u64,
 }
 
 /// Describes how caches are laid out for a kernel: the group each memory
@@ -138,18 +140,16 @@ impl MemorySystem {
             locals,
             private: PrivateMemory::new(kernel.private_bytes),
             dram: Dram::new(dram_cfg),
-            responses_private: HashMap::new(),
-            next_private_port: 0,
+            responses_private: Vec::new(),
             private_latency: dp.latencies.private_mem,
+            accesses: 0,
         }
     }
 
     /// Registers a private-memory port.
     pub fn add_private_port(&mut self) -> PortId {
-        let id = self.next_private_port;
-        self.next_private_port += 1;
-        self.responses_private.insert(id, Default::default());
-        PortId(id)
+        self.responses_private.push(VecDeque::new());
+        PortId(self.responses_private.len() - 1)
     }
 
     /// Whether a request can be issued to `target` on `port` this cycle.
@@ -170,9 +170,7 @@ impl MemorySystem {
             MemTarget::Local(l) => self.locals[l].request(port, req),
             MemTarget::Private => {
                 let resp = self.private.access(&req);
-                self.responses_private
-                    .get_mut(&port.0)
-                    .expect("private port registered")
+                self.responses_private[port.0]
                     .push_back((now + self.private_latency as u64, resp));
             }
         }
@@ -185,7 +183,7 @@ impl MemorySystem {
             MemTarget::LineBuf(b) => self.line_bufs[b].pop_response(port, now),
             MemTarget::Local(l) => self.locals[l].pop_response(port, now),
             MemTarget::Private => {
-                let q = self.responses_private.get_mut(&port.0)?;
+                let q = &mut self.responses_private[port.0];
                 if q.front().map(|(r, _)| *r <= now).unwrap_or(false) {
                     q.pop_front().map(|(_, r)| r)
                 } else {
@@ -206,7 +204,7 @@ impl MemorySystem {
             || self.locals.iter().any(|l| l.has_pending_events(now))
             || self
                 .responses_private
-                .values()
+                .iter()
                 .any(|q| q.iter().any(|(ready, _)| *ready > now))
     }
 
@@ -220,13 +218,17 @@ impl MemorySystem {
             if c.is_idle() {
                 continue;
             }
+            let before = c.stats.accesses;
             moved |= c.tick(now, &mut self.dram, gm);
+            self.accesses += c.stats.accesses - before;
         }
         for b in &mut self.line_bufs {
             if b.is_idle() {
                 continue;
             }
+            let before = b.stats.accesses;
             moved |= b.tick(now, &mut self.dram, gm);
+            self.accesses += b.stats.accesses - before;
         }
         for l in &mut self.locals {
             moved |= l.tick(now);
@@ -245,7 +247,7 @@ impl MemorySystem {
         let locals = self.locals.iter().filter_map(|l| l.next_response_ready());
         let private = self
             .responses_private
-            .values()
+            .iter()
             .filter_map(|q| q.front().map(|(ready, _)| *ready));
         caches.chain(line_bufs).chain(locals).chain(private).filter(|&r| r > now).min()
     }
@@ -269,6 +271,12 @@ impl MemorySystem {
             done = done.max(c.flush(now, &mut self.dram));
         }
         done
+    }
+
+    /// Requests ever accepted by the caches and line buffers: the sum of
+    /// their `stats.accesses`, maintained as they tick.
+    pub fn accesses(&self) -> u64 {
+        self.accesses
     }
 
     /// Aggregated cache statistics.

@@ -47,10 +47,10 @@ impl Mapping {
         Mapping { slots: Vec::new(), identity: true }
     }
 
-    /// Applies the mapping to a token.
-    pub fn apply(&self, t: &Token) -> Token {
+    /// Applies the mapping to a token; an identity mapping moves it.
+    pub fn apply(&self, t: Token) -> Token {
         if self.identity {
-            return t.clone();
+            return t;
         }
         let vals = self
             .slots
@@ -115,7 +115,11 @@ pub fn edge_mapping(
                 Slot::Idx(idx)
             }
         })
-        .collect();
+        .collect::<Vec<_>>();
+    // Same signature on both sides: the hop moves the token unchanged.
+    if slots.len() == sig_from.len() && slots.iter().enumerate().all(|(i, s)| *s == Slot::Idx(i)) {
+        return Mapping::identity();
+    }
     Mapping { slots, identity: false }
 }
 
@@ -127,7 +131,7 @@ mod tests {
     fn identity_mapping_preserves_token() {
         let t = Token { wi: 1, wg: 0, vals: vec![10, 20].into_boxed_slice() };
         let m = Mapping::identity();
-        assert_eq!(m.apply(&t), t);
+        assert_eq!(m.apply(t.clone()), t);
     }
 
     #[test]
@@ -137,7 +141,7 @@ mod tests {
             slots: vec![Slot::Idx(1), Slot::Uniform(99), Slot::Idx(0)],
             identity: false,
         };
-        let out = m.apply(&t);
+        let out = m.apply(t);
         assert_eq!(&*out.vals, &[20, 99, 10]);
         assert_eq!(out.wi, 1);
     }

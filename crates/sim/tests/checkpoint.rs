@@ -168,7 +168,7 @@ proptest! {
         cut in 1u64..4_000,
     ) {
         let nd = NdRange::dim1(groups * 8, 8);
-        for sched in [Scheduler::Dense, Scheduler::EventDriven, Scheduler::Compiled] {
+        for sched in [Scheduler::Dense, Scheduler::Fast] {
             let cfg = config(sched, FaultPlan::none(), None);
             let straight = run_straight(KERNELS[ki], nd, &cfg);
             let resumed = run_interrupted(KERNELS[ki], nd, &cfg, &[cut]);
@@ -195,7 +195,7 @@ proptest! {
             .expect("probe machine");
         let faults = FaultPlan::random(seed, nfaults, 5_000)
             .normalized(probe.num_channels(), probe.num_caches(), probe.num_line_bufs());
-        for sched in [Scheduler::Dense, Scheduler::EventDriven, Scheduler::Compiled] {
+        for sched in [Scheduler::Dense, Scheduler::Fast] {
             let cfg = config(sched, faults.clone(), None);
             let straight = run_straight(KERNELS[ki], nd, &cfg);
             let resumed = run_interrupted(KERNELS[ki], nd, &cfg, &[cut]);
@@ -228,21 +228,19 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     /// Backend switch mid-run: snapshot under one scheduler, restore
-    /// under another (notably EventDriven → Compiled, whose hot-state
-    /// mirror must be rebuilt from the restored components), finish
-    /// bit-identically to the uninterrupted reference.
+    /// under the other (the tick program's hot bytes must be rebuilt from
+    /// the restored components), finish bit-identically to the
+    /// uninterrupted reference.
     #[test]
     fn checkpoint_survives_backend_switch(
         ki in 0usize..5,
         cut in 1u64..3_000,
-        pair in 0usize..4,
+        pair in 0usize..2,
     ) {
         let nd = NdRange::dim1(2 * 8, 8);
         let (from, to) = [
-            (Scheduler::EventDriven, Scheduler::Compiled),
-            (Scheduler::Compiled, Scheduler::EventDriven),
-            (Scheduler::Dense, Scheduler::Compiled),
-            (Scheduler::Compiled, Scheduler::Dense),
+            (Scheduler::Dense, Scheduler::Fast),
+            (Scheduler::Fast, Scheduler::Dense),
         ][pair];
         let reference = run_straight(KERNELS[ki], nd, &config(Scheduler::Dense, FaultPlan::none(), None));
 
@@ -277,7 +275,7 @@ proptest! {
 fn deadline_slice_counts_pin_quiescent_gap_boundaries() {
     // Long-idle-gap kernel: a single narrow work-group serializes on
     // memory, so the machine spends most cycles quiescent and the
-    // fast-forward path dominates under the skipping schedulers.
+    // fast-forward path dominates under the fast scheduler.
     let src = "__kernel void k(__global int* a, int n) {
         int i = get_global_id(0);
         int s = 0;
@@ -294,7 +292,7 @@ fn deadline_slice_counts_pin_quiescent_gap_boundaries() {
 
     for interval in [1u64, 7, 64, 100] {
         let mut counts = Vec::new();
-        for sched in [Scheduler::Dense, Scheduler::EventDriven, Scheduler::Compiled] {
+        for sched in [Scheduler::Dense, Scheduler::Fast] {
             let cfg = config(sched, FaultPlan::none(), None);
             let (mut gm, a) = fresh_memory();
             let args = [ArgValue::Buffer(a), ArgValue::Scalar(5)];
@@ -347,7 +345,7 @@ fn deadline_slice_counts_pin_quiescent_gap_boundaries() {
 fn deadline_is_typed_and_deterministic() {
     let (kernel, dp) = compile(KERNELS[1]);
     let nd = NdRange::dim1(16, 8);
-    let cfg = config(Scheduler::EventDriven, FaultPlan::none(), None);
+    let cfg = config(Scheduler::Fast, FaultPlan::none(), None);
     for _ in 0..2 {
         let (mut gm, a) = fresh_memory();
         let args = [ArgValue::Buffer(a), ArgValue::Scalar(5)];
@@ -357,7 +355,7 @@ fn deadline_is_typed_and_deterministic() {
             Err(SimError::DeadlineExceeded { cycle, snapshot }) => {
                 // Cycle deadlines are deterministic cut points: the run
                 // stops before executing the deadline cycle even under
-                // event-driven fast-forward.
+                // the fast scheduler's fast-forward.
                 assert_eq!(cycle, 100);
                 assert_eq!(snapshot.cycle(), 100);
             }

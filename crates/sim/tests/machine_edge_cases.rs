@@ -68,7 +68,7 @@ fn cycle_budget_boundary_is_exact() {
             a[1] = 1;
         }",
     );
-    for scheduler in [soff_sim::Scheduler::Dense, soff_sim::Scheduler::EventDriven] {
+    for scheduler in [soff_sim::Scheduler::Dense, soff_sim::Scheduler::Fast] {
         let mut gm = GlobalMemory::new();
         let a = gm.alloc(16);
         let cfg = SimConfig {
@@ -85,6 +85,55 @@ fn cycle_budget_boundary_is_exact() {
             SimError::Timeout { max_cycles: 77, cycle: 77 },
             "scheduler {scheduler:?}"
         );
+    }
+}
+
+/// A datapath unit whose instruction has no micro-op, or more operands
+/// than a unit takes, is a typed elaboration error naming the pipeline
+/// and unit, not a panic in the middle of a run.
+#[test]
+fn undecodable_unit_is_a_typed_error() {
+    use soff_ir::ir::InstKind;
+    let (kernel, dp) = compile(
+        "__kernel void k(__global int* a, int n) {
+            int i = get_global_id(0);
+            a[i] = a[i] * n + 1;
+        }",
+    );
+    let v = dp
+        .basics
+        .iter()
+        .flat_map(|bp| &bp.dfg.nodes)
+        .find_map(|node| match node {
+            soff_ir::dfg::Node::Instr(v) if !kernel.instr(*v).is_memory() => Some(*v),
+            _ => None,
+        })
+        .expect("kernel has a compute unit");
+    let rewrites = [
+        InstKind::Phi { incoming: Vec::new() },
+        InstKind::Math {
+            func: soff_frontend::builtins::MathFunc::Fmax,
+            ty: soff_frontend::types::Scalar::F32,
+            args: vec![v; 4],
+        },
+    ];
+    for kind in rewrites {
+        let mut broken = kernel.clone();
+        broken.values[v.0 as usize].kind = kind;
+        let mut gm = GlobalMemory::new();
+        let a = gm.alloc(16 * 4);
+        let args = [ArgValue::Buffer(a), ArgValue::Scalar(3)];
+        let nd = NdRange::dim1(16, 8);
+        let err = soff_sim::Machine::new(&broken, &dp, &SimConfig::default(), nd, &args)
+            .err()
+            .expect("an undecodable unit must be rejected");
+        match err {
+            SimError::InvariantViolation { cycle: 0, what } => {
+                assert!(what.contains("pipeline") && what.contains("unit"), "{what}");
+                assert!(what.contains(&v.to_string()), "{what}");
+            }
+            other => panic!("expected an elaboration InvariantViolation, got {other}"),
+        }
     }
 }
 

@@ -1,9 +1,9 @@
-//! Dense vs. event-driven vs. compiled scheduler differential suite.
+//! Dense vs. fast scheduler differential suite.
 //!
-//! The event-driven and compiled schedulers are optimizations, not model
-//! changes: for any launch — any kernel shape, geometry, replication,
-//! fault plan, and profiling setting — each must produce the
-//! *bit-identical* outcome of the dense reference loop: the same
+//! The fast scheduler is an optimization, not a model change: for any
+//! launch — any kernel shape, geometry, replication, fault plan, and
+//! profiling setting — it must produce the *bit-identical* outcome of the
+//! dense reference loop: the same
 //! `SimResult` (cycle counts, per-cache statistics, stall counters), the
 //! same memory contents, and on failing runs the same `SimError`
 //! (including the forensic deadlock report and the cycle numbers inside
@@ -59,8 +59,8 @@ const KERNELS: &[&str] = &[
     // Two-buffer sliding-window stencil: the read neighborhood on `a` is
     // recognized by `soff_ir::window::detect` and lowered onto a line
     // buffer, so this kernel exercises `MemTarget::LineBuf` routing,
-    // `Comp::LineBuf` attribution, and the `LineBufJam` fault class in
-    // all three schedulers.
+    // `Comp::LineBuf` attribution, and the `LineBufJam` fault class under
+    // both schedulers.
     "__kernel void k(__global const int* a, __global int* out, int n) {
         int i = get_global_id(0);
         int x = i % 62 + 1;
@@ -124,8 +124,8 @@ fn run_one(
     Ok((res, bytes))
 }
 
-/// Runs the launch under all three schedulers and asserts bit-identity
-/// of the complete outcome.
+/// Runs the launch under both schedulers and asserts bit-identity of the
+/// complete outcome.
 #[allow(clippy::result_large_err)]
 fn assert_schedulers_agree(
     src: &str,
@@ -137,19 +137,8 @@ fn assert_schedulers_agree(
 ) -> Result<(SimResult, Vec<u8>), SimError> {
     let dense =
         run_one(src, nd, instances, faults.clone(), profile, check_invariants, Scheduler::Dense);
-    let ed = run_one(
-        src,
-        nd,
-        instances,
-        faults.clone(),
-        profile,
-        check_invariants,
-        Scheduler::EventDriven,
-    );
-    assert_eq!(dense, ed, "dense and event-driven outcomes diverged");
-    let compiled =
-        run_one(src, nd, instances, faults, profile, check_invariants, Scheduler::Compiled);
-    assert_eq!(dense, compiled, "dense and compiled outcomes diverged");
+    let fast = run_one(src, nd, instances, faults, profile, check_invariants, Scheduler::Fast);
+    assert_eq!(dense, fast, "dense and fast outcomes diverged");
     dense
 }
 
@@ -190,8 +179,8 @@ proptest! {
         let _ = assert_schedulers_agree(KERNELS[ki], nd, instances, faults, None, false);
     }
 
-    /// With profiling on, event-driven scheduling degenerates to dense
-    /// stepping; reports and results still must match exactly.
+    /// With profiling on, fast scheduling degenerates to dense stepping;
+    /// reports and results still must match exactly.
     #[test]
     fn schedulers_agree_with_profiling(
         ki in 0usize..5,
@@ -314,13 +303,13 @@ fn zero_sized_launch_is_rejected() {
     }
 }
 
-/// The event-driven scheduler must actually skip work on an idle machine:
-/// a single-work-item launch on a long-latency kernel spends most cycles
+/// The fast scheduler must actually skip work on an idle machine: a
+/// single-work-item launch on a long-latency kernel spends most cycles
 /// waiting on memory, so both schedulers agreeing (above) plus this
 /// completing quickly is the smoke check that fast-forwarding engages.
 /// (The wall-clock benchmark in `crates/bench` measures the speedup.)
 #[test]
-fn event_driven_handles_long_idle_gaps() {
+fn fast_handles_long_idle_gaps() {
     let src = "__kernel void k(__global int* a, int n) {
         int i = get_global_id(0);
         int s = 0;
@@ -331,4 +320,25 @@ fn event_driven_handles_long_idle_gaps() {
     let out = assert_schedulers_agree(src, nd, 1, FaultPlan::none(), None, true);
     let (res, _) = out.expect("fault-free launch");
     assert_eq!(res.retired, 4);
+}
+
+/// A token duplicated inside a datapath instance outlives its work-group's
+/// accounting: the group completes while the copy is still in flight, so
+/// the instance looks idle. Fast must keep ticking instances under a fault
+/// plan, or the copy never retires and the dense run's invariant
+/// violation turns into a clean finish.
+#[test]
+fn duplicated_token_in_an_idle_looking_instance_still_retires() {
+    let src = "__kernel void k(__global int* a, int n) {
+        int i = get_global_id(0);
+        int s = 0;
+        for (int j = 0; j < (i % 8) * n; j++) s += a[(i + j) % 64];
+        a[i % 64] = s;
+    }";
+    let faults = FaultPlan::none().with(soff_sim::Fault::TokenDup { chan: 0, at: 0 });
+    let out = assert_schedulers_agree(src, NdRange::dim1(16, 8), 2, faults, None, false);
+    assert!(
+        matches!(out, Err(SimError::InvariantViolation { .. })),
+        "the duplicate must retire after its group completed: {out:?}"
+    );
 }

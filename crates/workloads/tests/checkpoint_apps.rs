@@ -63,8 +63,8 @@ fn every_polybench_app_survives_preemption_dense() {
 }
 
 #[test]
-fn every_polybench_app_survives_preemption_event_driven() {
+fn every_polybench_app_survives_preemption_fast() {
     for app in polybench::apps() {
-        assert_bit_identical(&app, Scheduler::EventDriven);
+        assert_bit_identical(&app, Scheduler::Fast);
     }
 }

@@ -320,9 +320,9 @@ fn resume_across_run_control_knob_change() {
     assert!(phase1.iter().any(|c| c.cancelled), "phase 1 must be cut short");
 
     // Phase 2: resume the *same* journal under completely different
-    // run-control knobs (event-driven scheduling, aggressive preemption).
+    // run-control knobs (fast scheduling, aggressive preemption).
     let resumed = run_cells_with(&cells, &opts(Some(path.clone())), |c, _| {
-        run(c, Scheduler::EventDriven, Some(2048))
+        run(c, Scheduler::Fast, Some(2048))
     })
     .unwrap();
     assert!(

@@ -1,10 +1,10 @@
 //! Line-buffer differential test over the stencil suite.
 //!
-//! For every stencil app (plain and temporally blocked) we run all six
+//! For every stencil app (plain and temporally blocked) we run all four
 //! scheduler × line-buffer combinations and require:
 //!
 //!   * the app's own output check passes in every configuration,
-//!   * every buffer in the machine is byte-identical across all six runs
+//!   * every buffer in the machine is byte-identical across all four runs
 //!     (the line buffer is a performance feature, never a semantic one),
 //!   * with the line buffer enabled the window path actually engages
 //!     (`accesses > 0`) and its bookkeeping balances
@@ -15,11 +15,7 @@ use soff_sim::Scheduler;
 use soff_workloads::data::Scale;
 use soff_workloads::stencil::{run_stencil, stencil_app_names};
 
-const SCHEDULERS: [Scheduler; 3] = [
-    Scheduler::Dense,
-    Scheduler::EventDriven,
-    Scheduler::Compiled,
-];
+const SCHEDULERS: [Scheduler; 2] = [Scheduler::Dense, Scheduler::Fast];
 
 #[test]
 fn stencil_apps_bit_identical_lb_on_vs_off_across_backends() {
