@@ -85,15 +85,10 @@ impl BasicPipeline {
     pub fn depth(&self) -> u64 {
         // Equal on every path after balancing; compute via longest path of
         // Σ L_F.
-        let order = self.dfg.topo_order();
         let mut depth = vec![0u64; self.dfg.nodes.len()];
-        for &n in &order {
-            for e in self.dfg.out_edges(n) {
-                let d = depth[n.0 as usize] + self.units[n.0 as usize].lf as u64;
-                if d > depth[e.to.0 as usize] {
-                    depth[e.to.0 as usize] = d;
-                }
-            }
+        for ei in self.dfg.topo_edges() {
+            let (from, to) = ends(&self.dfg, ei);
+            depth[to] = depth[to].max(depth[from] + self.units[from].lf as u64);
         }
         depth[SINK.0 as usize]
     }
@@ -139,21 +134,20 @@ pub fn balance_fifos(dfg: &Dfg, units: &[Unit]) -> Vec<u32> {
     (0..n_edges).map(|i| sol.int(i).max(0) as u32).collect()
 }
 
+/// The `(from, to)` node indices of edge `ei`.
+fn ends(dfg: &Dfg, ei: usize) -> (usize, usize) {
+    let e = &dfg.edges[ei];
+    (e.from.0 as usize, e.to.0 as usize)
+}
+
 /// Shortest-path capacity (used when balancing is disabled).
 fn min_path_capacity(dfg: &Dfg, units: &[Unit]) -> u64 {
-    let order = dfg.topo_order();
     let mut worst = vec![u64::MAX; dfg.nodes.len()];
     worst[SOURCE.0 as usize] = (units[SOURCE.0 as usize].lf + 1) as u64;
-    for &n in &order {
-        if worst[n.0 as usize] == u64::MAX {
-            continue;
-        }
-        for e in dfg.out_edges(n) {
-            let step = (units[e.to.0 as usize].lf + 1) as u64;
-            let w = worst[n.0 as usize] + step;
-            if w < worst[e.to.0 as usize] {
-                worst[e.to.0 as usize] = w;
-            }
+    for ei in dfg.topo_edges() {
+        let (from, to) = ends(dfg, ei);
+        if worst[from] != u64::MAX {
+            worst[to] = worst[to].min(worst[from] + (units[to].lf + 1) as u64);
         }
     }
     worst[SINK.0 as usize]
@@ -163,29 +157,18 @@ fn min_path_capacity(dfg: &Dfg, units: &[Unit]) -> u64 {
 /// asserts (in debug builds) that all paths agree.
 pub fn path_capacity(dfg: &Dfg, units: &[Unit], fifo_extra: &[u32]) -> u64 {
     // Longest path via topo order; with balanced FIFOs every path is equal.
-    let order = dfg.topo_order();
     let mut best = vec![u64::MIN; dfg.nodes.len()];
     let mut worst = vec![u64::MAX; dfg.nodes.len()];
     best[SOURCE.0 as usize] = (units[SOURCE.0 as usize].lf + 1) as u64;
     worst[SOURCE.0 as usize] = best[SOURCE.0 as usize];
-    for &n in &order {
-        if best[n.0 as usize] == u64::MIN {
+    for ei in dfg.topo_edges() {
+        let (from, to) = ends(dfg, ei);
+        if best[from] == u64::MIN {
             continue;
         }
-        for (ei, e) in dfg.edges.iter().enumerate() {
-            if e.from != n {
-                continue;
-            }
-            let step = fifo_extra[ei] as u64 + (units[e.to.0 as usize].lf + 1) as u64;
-            let b = best[n.0 as usize] + step;
-            let w = worst[n.0 as usize].saturating_add(step);
-            if b > best[e.to.0 as usize] || best[e.to.0 as usize] == u64::MIN {
-                best[e.to.0 as usize] = best[e.to.0 as usize].max(b);
-            }
-            if worst[e.to.0 as usize] == u64::MAX || w < worst[e.to.0 as usize] {
-                worst[e.to.0 as usize] = worst[e.to.0 as usize].min(w);
-            }
-        }
+        let step = fifo_extra[ei] as u64 + (units[to].lf + 1) as u64;
+        best[to] = best[to].max(best[from] + step);
+        worst[to] = worst[to].min(worst[from].saturating_add(step));
     }
     let lmax = best[SINK.0 as usize];
     let lmin = worst[SINK.0 as usize];

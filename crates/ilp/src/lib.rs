@@ -1,13 +1,20 @@
 //! # soff-ilp
 //!
 //! A small exact integer linear programming solver: two-phase primal
-//! simplex for the LP relaxation plus best-first branch & bound on
-//! fractional variables.
+//! simplex with sparse pivots for the LP relaxation (see [`simplex`])
+//! plus depth-first branch & bound on fractional variables.
 //!
 //! SOFF uses ILP to size the FIFO queues inserted between functional units
 //! of a basic pipeline (§IV-C of the paper): one variable per DFG edge,
 //! equality constraints making every source-sink path hold the same total
 //! near-maximum latency, minimizing the total FIFO capacity added.
+//!
+//! The simplex works in `f64` with a tolerance, yet it is exact on those
+//! LPs. Their constraint matrix is a DFG's edge-node incidence matrix
+//! plus unit columns, so it is totally unimodular, and latencies are
+//! integers. Every tableau entry, reduced cost and basic solution is then
+//! a small integer that `f64` holds exactly, Bland's rule ends on an
+//! integral vertex, and branch & bound never branches.
 //!
 //! ## Example
 //!
@@ -24,9 +31,13 @@
 //! assert_eq!(sol.objective.round() as i64, 2); // x=1, y=1
 //! ```
 
+#[cfg(test)]
+mod dense;
 pub mod simplex;
 
 pub use simplex::{Constraint, LpError, LpSolution, Rel};
+
+use std::borrow::Cow;
 
 /// An integer linear program under construction.
 ///
@@ -109,8 +120,13 @@ impl Ilp {
             if nodes > MAX_NODES {
                 break;
             }
-            let mut cons = self.constraints.clone();
-            cons.extend(extra.iter().cloned());
+            // The root node adds no bounds and solves the constraints as
+            // they are.
+            let cons: Cow<[Constraint]> = if extra.is_empty() {
+                Cow::Borrowed(&self.constraints)
+            } else {
+                Cow::Owned(self.constraints.iter().chain(&extra).cloned().collect())
+            };
             let relax = match simplex::solve_lp(&self.objective, &cons) {
                 Ok(s) => s,
                 Err(LpError::Infeasible) => continue,

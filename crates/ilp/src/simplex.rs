@@ -1,9 +1,21 @@
 //! Two-phase primal simplex for linear programs in the form
 //! `minimize c·x  subject to  A·x {≤,=,≥} b,  x ≥ 0`.
 //!
-//! Uses dense tableaus with Bland's rule (no cycling) — the LPs SOFF
-//! solves (FIFO sizing, §IV-C) have at most a few hundred variables, so
-//! simplicity beats sparsity here.
+//! Bland's rule (no cycling) with sparse pivots. The LPs SOFF solves
+//! (FIFO sizing, §IV-C) have a few hundred columns, but a pivot row holds
+//! about ten nonzeros and eliminates about one row in seven, so a pivot
+//! collects the pivot row's nonzeros once and updates only those columns
+//! of the rows it eliminates. Phase 2 stops updating the artificial
+//! columns: none may enter, and nothing reads them again.
+//!
+//! The pivots are exactly those of a dense tableau that updates every
+//! column. Each update is `a − f·b`; where `b` is zero the dense result is
+//! `a` itself, up to the sign of a zero, so skipping it changes no nonzero
+//! entry. Every decision (entering column, ratio test, infeasibility,
+//! which artificial to drive out) compares against `±EPS`, which the sign
+//! of a zero cannot flip. Right-hand sides take the same operations as in
+//! the dense tableau, so solutions and objectives are bit-identical to the
+//! dense solver the tests keep as a reference.
 
 use std::fmt;
 
@@ -58,7 +70,116 @@ pub struct LpSolution {
     pub objective: f64,
 }
 
-const EPS: f64 = 1e-9;
+/// Tolerance of every pivoting decision.
+pub(crate) const EPS: f64 = 1e-9;
+
+/// A simplex tableau whose pivots touch only nonzeros.
+///
+/// Rows stay dense, so any entry is one load away; a row is allocated on
+/// its own, as the dense solver did. The objective row is a slice of
+/// `columns + 1` entries whose last entry is its right-hand side.
+struct Tableau {
+    /// One dense row of every column per constraint.
+    rows: Vec<Vec<f64>>,
+    /// Right-hand side per row.
+    rhs: Vec<f64>,
+    /// Basic column per row.
+    basis: Vec<usize>,
+    /// Columns `< live` are updated; phase 2 leaves the artificial ones.
+    live: usize,
+    /// The `(row, value)` pairs of the pivot column beyond `±EPS`, by
+    /// ascending row (scratch).
+    column: Vec<(usize, f64)>,
+    /// The pivot row's nonzero `(column, value)` pairs (scratch).
+    nz: Vec<(usize, f64)>,
+}
+
+impl Tableau {
+    /// Loads column `col` into `self.column`.
+    fn load_column(&mut self, col: usize) {
+        self.column.clear();
+        for (i, r) in self.rows.iter().enumerate() {
+            if r[col].abs() > EPS {
+                self.column.push((i, r[col]));
+            }
+        }
+    }
+
+    /// Pivots on `(row, col)`, pricing `obj` too if given. `self.column`
+    /// must hold column `col`.
+    fn pivot(&mut self, obj: Option<&mut [f64]>, row: usize, col: usize) {
+        let mut prow = std::mem::take(&mut self.rows[row]);
+        let p = prow[col];
+        self.nz.clear();
+        for (j, v) in prow[..self.live].iter_mut().enumerate() {
+            if *v != 0.0 {
+                *v /= p;
+                self.nz.push((j, *v));
+            }
+        }
+        self.rhs[row] /= p;
+        let r = self.rhs[row];
+        for &(i, f) in &self.column {
+            if i != row {
+                let dst = &mut self.rows[i];
+                for &(j, v) in &self.nz {
+                    dst[j] -= f * v;
+                }
+                self.rhs[i] -= f * r;
+            }
+        }
+        if let Some(obj) = obj {
+            let f = obj[col];
+            if f.abs() > EPS {
+                for &(j, v) in &self.nz {
+                    obj[j] -= f * v;
+                }
+                let last = obj.len() - 1;
+                obj[last] -= f * r;
+            }
+        }
+        self.rows[row] = prow;
+        self.basis[row] = col;
+    }
+
+    /// Subtracts `f ×` row `i` (with its right-hand side) from `obj`.
+    fn price(&self, obj: &mut [f64], i: usize, f: f64) {
+        for (o, &v) in obj.iter_mut().zip(&self.rows[i]) {
+            *o -= f * v;
+        }
+        let last = obj.len() - 1;
+        obj[last] -= f * self.rhs[i];
+    }
+
+    /// Simplex iterations where only columns `< allowed` may enter the
+    /// basis.
+    fn run(&mut self, obj: &mut [f64], allowed: usize) -> Result<(), LpError> {
+        loop {
+            // Bland's rule: smallest index with negative reduced cost.
+            let Some(enter) = obj[..allowed].iter().position(|&v| v < -EPS) else {
+                return Ok(());
+            };
+            // Ratio test (Bland: smallest basis index on ties).
+            self.load_column(enter);
+            let mut leave: Option<usize> = None;
+            let mut best = f64::INFINITY;
+            for &(i, a) in &self.column {
+                if a > EPS {
+                    let ratio = self.rhs[i] / a;
+                    if ratio < best - EPS
+                        || (ratio < best + EPS
+                            && leave.is_some_and(|l| self.basis[i] < self.basis[l]))
+                    {
+                        best = ratio;
+                        leave = Some(i);
+                    }
+                }
+            }
+            let leave = leave.ok_or(LpError::Unbounded)?;
+            self.pivot(Some(obj), leave, enter);
+        }
+    }
+}
 
 /// Solves `minimize c·x  s.t.  constraints, x ≥ 0`.
 ///
@@ -72,215 +193,226 @@ pub fn solve_lp(c: &[f64], constraints: &[Constraint]) -> Result<LpSolution, LpE
     // Standard form: every row becomes an equation with a slack (Le),
     // surplus (Ge), and artificial variables as needed; rhs made ≥ 0.
     // Column layout: [x(n) | slack/surplus(s) | artificial(a)].
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(m);
-    let mut rhs: Vec<f64> = Vec::with_capacity(m);
-    let mut rels: Vec<Rel> = Vec::with_capacity(m);
-    for con in constraints {
-        let mut row = vec![0.0; n];
+    let rels: Vec<Rel> = constraints
+        .iter()
+        .map(|con| match (con.rel, con.rhs < 0.0) {
+            (Rel::Le, true) => Rel::Ge,
+            (Rel::Ge, true) => Rel::Le,
+            (rel, _) => rel,
+        })
+        .collect();
+    let n_slack = rels.iter().filter(|r| **r != Rel::Eq).count();
+    let n_art = rels.iter().filter(|r| **r != Rel::Le).count();
+    let art = n + n_slack;
+    let total = art + n_art;
+
+    let mut t = Tableau {
+        rows: Vec::with_capacity(m),
+        rhs: Vec::with_capacity(m),
+        basis: Vec::with_capacity(m),
+        live: total,
+        column: Vec::new(),
+        nz: Vec::new(),
+    };
+    let (mut s_idx, mut a_idx) = (n, art);
+    for (con, rel) in constraints.iter().zip(&rels) {
+        let mut row = vec![0.0; total];
         for &(i, v) in &con.coeffs {
             assert!(i < n, "constraint references variable {i} out of {n}");
             row[i] += v;
         }
-        let (row, r, rel) = if con.rhs < 0.0 {
+        let mut rhs = con.rhs;
+        if rhs < 0.0 {
             // Negate so rhs ≥ 0.
-            let flipped = match con.rel {
-                Rel::Le => Rel::Ge,
-                Rel::Ge => Rel::Le,
-                Rel::Eq => Rel::Eq,
-            };
-            (row.iter().map(|v| -v).collect::<Vec<_>>(), -con.rhs, flipped)
-        } else {
-            (row, con.rhs, con.rel)
-        };
-        rows.push(row);
-        rhs.push(r);
-        rels.push(rel);
-    }
-
-    let n_slack = rels.iter().filter(|r| **r != Rel::Eq).count();
-    let n_art = rels.iter().filter(|r| **r != Rel::Le).count();
-    let total = n + n_slack + n_art;
-
-    // Build the tableau.
-    let mut t = vec![vec![0.0; total + 1]; m];
-    let mut basis = vec![0usize; m];
-    let mut s_idx = n;
-    let mut a_idx = n + n_slack;
-    for i in 0..m {
-        t[i][..n].copy_from_slice(&rows[i]);
-        t[i][total] = rhs[i];
-        match rels[i] {
+            rhs = -rhs;
+            for v in &mut row[..n] {
+                *v = -*v;
+            }
+        }
+        match rel {
             Rel::Le => {
-                t[i][s_idx] = 1.0;
-                basis[i] = s_idx;
+                row[s_idx] = 1.0;
+                t.basis.push(s_idx);
                 s_idx += 1;
             }
             Rel::Ge => {
-                t[i][s_idx] = -1.0;
+                row[s_idx] = -1.0;
                 s_idx += 1;
-                t[i][a_idx] = 1.0;
-                basis[i] = a_idx;
+                row[a_idx] = 1.0;
+                t.basis.push(a_idx);
                 a_idx += 1;
             }
             Rel::Eq => {
-                t[i][a_idx] = 1.0;
-                basis[i] = a_idx;
+                row[a_idx] = 1.0;
+                t.basis.push(a_idx);
                 a_idx += 1;
             }
         }
+        t.rows.push(row);
+        t.rhs.push(rhs);
     }
 
     // Phase 1: minimize the sum of artificial variables.
     if n_art > 0 {
         let mut obj = vec![0.0; total + 1];
-        for o in &mut obj[(n + n_slack)..total] {
-            *o = 1.0;
-        }
+        obj[art..total].fill(1.0);
         // Price out basic artificials.
         for i in 0..m {
-            if basis[i] >= n + n_slack {
-                for j in 0..=total {
-                    obj[j] -= t[i][j];
-                }
+            if t.basis[i] >= art {
+                t.price(&mut obj, i, 1.0);
             }
         }
-        run_simplex(&mut t, &mut obj, &mut basis, total)?;
+        t.run(&mut obj, total)?;
         if -obj[total] > EPS {
             return Err(LpError::Infeasible);
         }
         // Drive any artificial variables out of the basis.
         for i in 0..m {
-            if basis[i] >= n + n_slack {
+            if t.basis[i] >= art {
                 // Find a non-artificial column to pivot in.
-                if let Some(j) = (0..n + n_slack).find(|&j| t[i][j].abs() > EPS) {
-                    pivot(&mut t, &mut vec![0.0; total + 1], &mut basis, i, j, total);
+                if let Some(j) = t.rows[i][..art].iter().position(|v| v.abs() > EPS) {
+                    t.load_column(j);
+                    t.pivot(None, i, j);
                 }
                 // If none, the row is redundant; leave it (rhs must be ~0).
             }
         }
     }
 
-    // Phase 2: minimize the real objective (artificials pinned at 0 by
-    // giving them prohibitive cost and never selecting them).
+    // Phase 2: minimize the real objective. Price out the basic columns,
+    // artificials included (a redundant row may keep one basic).
     let mut obj = vec![0.0; total + 1];
     obj[..n].copy_from_slice(c);
     for i in 0..m {
-        let b = basis[i];
-        if obj[b].abs() > EPS {
-            let f = obj[b];
-            for j in 0..=total {
-                obj[j] -= f * t[i][j];
-            }
+        let f = obj[t.basis[i]];
+        if f.abs() > EPS {
+            t.price(&mut obj, i, f);
         }
     }
-    // Forbid artificial columns from entering.
-    run_simplex_restricted(&mut t, &mut obj, &mut basis, total, n + n_slack)?;
+    // No artificial column may enter, and nothing reads one again.
+    t.live = art;
+    t.run(&mut obj, art)?;
 
     let mut x = vec![0.0; n];
-    for i in 0..m {
-        if basis[i] < n {
-            x[basis[i]] = t[i][total];
+    for (&b, &r) in t.basis.iter().zip(&t.rhs) {
+        if b < n {
+            x[b] = r;
         }
     }
     let objective = c.iter().zip(&x).map(|(a, b)| a * b).sum();
     Ok(LpSolution { x, objective })
 }
 
-fn run_simplex(
-    t: &mut [Vec<f64>],
-    obj: &mut [f64],
-    basis: &mut [usize],
-    total: usize,
-) -> Result<(), LpError> {
-    run_simplex_restricted(t, obj, basis, total, total)
-}
-
-/// Simplex iterations where only columns `< allowed` may enter the basis.
-fn run_simplex_restricted(
-    t: &mut [Vec<f64>],
-    obj: &mut [f64],
-    basis: &mut [usize],
-    total: usize,
-    allowed: usize,
-) -> Result<(), LpError> {
-    let m = t.len();
-    loop {
-        // Bland's rule: smallest index with negative reduced cost.
-        let enter = (0..allowed).find(|&j| obj[j] < -EPS);
-        let enter = match enter {
-            Some(j) => j,
-            None => return Ok(()),
-        };
-        // Ratio test (Bland: smallest basis index on ties).
-        let mut leave: Option<usize> = None;
-        let mut best = f64::INFINITY;
-        for i in 0..m {
-            if t[i][enter] > EPS {
-                let ratio = t[i][total] / t[i][enter];
-                if ratio < best - EPS
-                    || (ratio < best + EPS
-                        && leave.map(|l| basis[i] < basis[l]).unwrap_or(false))
-                {
-                    best = ratio;
-                    leave = Some(i);
-                }
-            }
-        }
-        let leave = leave.ok_or(LpError::Unbounded)?;
-        pivot_full(t, obj, basis, leave, enter, total);
-    }
-}
-
-// Index loops stay: `t[i][j] -= f * t[row][j]` reads one row while
-// mutating another, which slice iterators cannot express without splits.
-#[allow(clippy::needless_range_loop)]
-fn pivot_full(
-    t: &mut [Vec<f64>],
-    obj: &mut [f64],
-    basis: &mut [usize],
-    row: usize,
-    col: usize,
-    total: usize,
-) {
-    let m = t.len();
-    let p = t[row][col];
-    for x in &mut t[row][..=total] {
-        *x /= p;
-    }
-    for i in 0..m {
-        if i != row && t[i][col].abs() > EPS {
-            let f = t[i][col];
-            for j in 0..=total {
-                t[i][j] -= f * t[row][j];
-            }
-        }
-    }
-    if obj[col].abs() > EPS {
-        let f = obj[col];
-        for j in 0..=total {
-            obj[j] -= f * t[row][j];
-        }
-    }
-    basis[row] = col;
-}
-
-fn pivot(
-    t: &mut [Vec<f64>],
-    obj: &mut [f64],
-    basis: &mut [usize],
-    row: usize,
-    col: usize,
-    total: usize,
-) {
-    pivot_full(t, obj, basis, row, col, total);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense;
+    use proptest::prelude::*;
 
     fn con(coeffs: &[(usize, f64)], rel: Rel, rhs: f64) -> Constraint {
         Constraint { coeffs: coeffs.to_vec(), rel, rhs }
+    }
+
+    /// The sparse and the dense solver agree bit for bit: the same
+    /// solution and objective, or the same error.
+    fn same_as_dense(c: &[f64], cons: &[Constraint]) -> Result<(), TestCaseError> {
+        let bits = |s: &LpSolution| {
+            (s.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), s.objective.to_bits())
+        };
+        match (solve_lp(c, cons), dense::solve_lp(c, cons)) {
+            (Ok(s), Ok(d)) => prop_assert_eq!(bits(&s), bits(&d)),
+            (s, d) => prop_assert_eq!(s.map(|s| s.x).unwrap_err(), d.map(|d| d.x).unwrap_err()),
+        }
+        Ok(())
+    }
+
+    /// Small LPs mixing `≤`/`=`/`≥` rows, negative right-hand sides and
+    /// repeated variables in a row, so that some are infeasible and some
+    /// unbounded. One in three has real-valued data, the rest integers.
+    /// Variable indices are taken modulo the variable count.
+    fn random_lp() -> impl Strategy<Value = (Vec<f64>, Vec<Constraint>)> {
+        let row =
+            (prop::collection::vec((0usize..6, -3.0f64..5.0), 1..5), 0usize..5, -6.0f64..10.0);
+        let lp = (1usize..7, prop::collection::vec(-1.5f64..3.0, 6..7));
+        (lp, prop::collection::vec(row, 1..6), 0u8..3).prop_map(|((n, costs), rows, kind)| {
+            let v = |x: f64| if kind == 0 { x } else { x.round() };
+            let c = costs[..n].iter().map(|&x| v(x)).collect();
+            let cons = rows
+                .into_iter()
+                .map(|(coeffs, rel, rhs)| Constraint {
+                    coeffs: coeffs.into_iter().map(|(i, a)| (i % n, v(a))).collect(),
+                    rel: [Rel::Le, Rel::Le, Rel::Le, Rel::Eq, Rel::Ge][rel],
+                    rhs: v(rhs),
+                })
+                .collect();
+            (c, cons)
+        })
+    }
+
+    /// The LP `balance_fifos` (soff-datapath) builds for a random DFG-shaped
+    /// DAG, in its variable and row order: node 0 is the source, node 1 the
+    /// sink, and the rest instructions in program order. Instruction-to-
+    /// instruction edges (repeats allowed, like `x * x`) run forward;
+    /// instructions without an input hang off the source and those without
+    /// a successor feed the sink.
+    fn fifo_lp() -> impl Strategy<Value = (Vec<f64>, Vec<Constraint>)> {
+        let pairs = prop::collection::vec((0usize..41, 0usize..41), 0..80);
+        let lat =
+            prop::collection::vec(prop_oneof![Just(0u32), Just(1), Just(3), 0u32..70], 40..41);
+        (0usize..40, pairs, lat).prop_map(|(k, pairs, lat)| {
+            // An endpoint drawn as 40 is the source (as `a`) or the sink
+            // (as `b`), adding live-ins and live-outs beside the forced ones.
+            let mut edges: Vec<(usize, usize)> = Vec::new();
+            for (a, b) in pairs.into_iter().filter(|_| k > 0) {
+                let (u, v) = (a % k + 2, b % k + 2);
+                let edge = match (a, b) {
+                    (40, _) => (0, v),
+                    (_, 40) => (u, 1),
+                    _ => (u.min(v), u.max(v)),
+                };
+                if edge.0 != edge.1 {
+                    edges.push(edge);
+                }
+            }
+            for v in 2..k + 2 {
+                if !edges.iter().any(|e| e.1 == v) {
+                    edges.push((0, v));
+                }
+                if !edges.iter().any(|e| e.0 == v) {
+                    edges.push((v, 1));
+                }
+            }
+            if !edges.iter().any(|e| e.0 == 0) {
+                edges.push((0, 1));
+            }
+            let lf = |v: usize| if v < 2 { 0.0 } else { f64::from(lat[v - 2]) };
+            let (ne, nn) = (edges.len(), k + 2);
+            let mut c = vec![0.0; ne + nn];
+            c[..ne].fill(1.0);
+            let mut cons: Vec<Constraint> = edges
+                .iter()
+                .enumerate()
+                .map(|(ei, &(from, to))| {
+                    con(&[(ne + to, 1.0), (ne + from, -1.0), (ei, -1.0)], Rel::Eq, lf(from) + 1.0)
+                })
+                .collect();
+            cons.push(con(&[(ne, 1.0)], Rel::Eq, 0.0));
+            (c, cons)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 4000, ..ProptestConfig::default() })]
+
+        #[test]
+        fn sparse_matches_dense_on_random_lps(lp in random_lp()) {
+            same_as_dense(&lp.0, &lp.1)?;
+        }
+
+        #[test]
+        fn sparse_matches_dense_on_fifo_lps(lp in fifo_lp()) {
+            same_as_dense(&lp.0, &lp.1)?;
+        }
     }
 
     #[test]

@@ -96,38 +96,66 @@ impl Dfg {
         self.edges.iter().filter(move |e| e.to == n)
     }
 
-    /// Outgoing edges of `n`.
-    pub fn out_edges(&self, n: NodeId) -> impl Iterator<Item = &Edge> {
-        self.edges.iter().filter(move |e| e.from == n)
-    }
-
     /// Topological order of the nodes (source first, sink last).
     ///
     /// # Panics
     ///
     /// Panics if the graph has a cycle (it never should).
     pub fn topo_order(&self) -> Vec<NodeId> {
+        self.topo().0
+    }
+
+    /// Every edge index once, grouped by source node in topological order
+    /// and in edge order within a node. Relaxing edges in this order
+    /// reaches each node only after all of its in-edges, which is what a
+    /// longest- or shortest-path pass needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph has a cycle (it never should).
+    pub fn topo_edges(&self) -> Vec<usize> {
+        let (order, start, outs) = self.topo();
+        order
+            .iter()
+            .flat_map(|n| &outs[start[n.0 as usize]..start[n.0 as usize + 1]])
+            .copied()
+            .collect()
+    }
+
+    /// Kahn's algorithm in O(N + E): the order, plus the out-edge index it
+    /// walks (node `n`'s edges are `outs[start[n]..start[n + 1]]`).
+    fn topo(&self) -> (Vec<NodeId>, Vec<usize>, Vec<usize>) {
         let n = self.nodes.len();
         let mut indeg = vec![0usize; n];
+        let mut start = vec![0usize; n + 1];
         for e in &self.edges {
             indeg[e.to.0 as usize] += 1;
+            start[e.from.0 as usize + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut next = start.clone();
+        let mut outs = vec![0; self.edges.len()];
+        for (ei, e) in self.edges.iter().enumerate() {
+            outs[next[e.from.0 as usize]] = ei;
+            next[e.from.0 as usize] += 1;
         }
         let mut stack: Vec<NodeId> =
             (0..n).filter(|i| indeg[*i] == 0).map(|i| NodeId(i as u32)).collect();
         let mut order = Vec::with_capacity(n);
         while let Some(x) = stack.pop() {
             order.push(x);
-            for e in &self.edges {
-                if e.from == x {
-                    indeg[e.to.0 as usize] -= 1;
-                    if indeg[e.to.0 as usize] == 0 {
-                        stack.push(e.to);
-                    }
+            for &ei in &outs[start[x.0 as usize]..start[x.0 as usize + 1]] {
+                let to = self.edges[ei].to;
+                indeg[to.0 as usize] -= 1;
+                if indeg[to.0 as usize] == 0 {
+                    stack.push(to);
                 }
             }
         }
         assert_eq!(order.len(), n, "DFG has a cycle");
-        order
+        (order, start, outs)
     }
 }
 
@@ -211,10 +239,13 @@ pub fn build_dfg(k: &Kernel, b: BlockId, live: &Liveness, pa: &PointerAnalysis) 
     // Completion edges: memory accesses (and in fact any node) without a
     // successor connect to the sink so the block only "finishes" when they
     // are done.
+    let mut has_succ = vec![false; nodes.len()];
+    for e in &edges {
+        has_succ[e.from.0 as usize] = true;
+    }
     for &v in &body {
         let n = node_of[&v];
-        let has_succ = edges.iter().any(|e| e.from == n);
-        if !has_succ {
+        if !has_succ[n.0 as usize] {
             edges.push(Edge { from: n, to: SINK, kind: EdgeKind::Order });
         }
     }
@@ -267,6 +298,30 @@ mod tests {
                 order.iter().enumerate().map(|(i, n)| (*n, i)).collect();
             for e in &d.edges {
                 assert!(pos[&e.from] < pos[&e.to], "edge violates topo order");
+            }
+        }
+    }
+
+    #[test]
+    fn topo_edges_relax_each_node_after_its_in_edges() {
+        let (_k, ds) = dfgs(
+            "__kernel void k(__global float* a, __global float* b) {
+                int i = get_global_id(0);
+                float x = a[i];
+                b[i] = x * x + a[i + 1] / 3.0f;
+            }",
+        );
+        for d in &ds {
+            let order = d.topo_edges();
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..d.edges.len()).collect::<Vec<_>>(), "every edge once");
+            for (pos, &ei) in order.iter().enumerate() {
+                let from = d.edges[ei].from;
+                assert!(
+                    order[pos..].iter().all(|&later| d.edges[later].to != from),
+                    "an edge into {from:?} comes after one out of it"
+                );
             }
         }
     }

@@ -1340,9 +1340,12 @@ impl<'a> Builder<'a> {
 
     /// Mapping for CFG edge `p → s` (`None` = kernel exit: empty token),
     /// computed by the first instance and copied by the rest.
-    fn map_edge(&self, p: BlockId, s: Option<BlockId>) -> Mapping {
+    fn map_edge(&self, p: BlockId, s: Option<BlockId>) -> Result<Mapping, SimError> {
         let mut maps = self.maps.borrow_mut();
-        let map = maps.entry((p, s)).or_insert_with(|| match s {
+        if let Some(map) = maps.get(&(p, s)) {
+            return Ok(map.clone());
+        }
+        let map = match s {
             None => Mapping { slots: Vec::new(), identity: false },
             Some(s) => edge_mapping(
                 self.k,
@@ -1351,9 +1354,10 @@ impl<'a> Builder<'a> {
                 s,
                 self.live_in_sig(s),
                 &self.launch.params,
-            ),
-        });
-        map.clone()
+            )?,
+        };
+        maps.insert((p, s), map.clone());
+        Ok(map)
     }
 
     /// Builds the pipeline for block-index `bidx`. Its sink maps onto the
@@ -1371,7 +1375,7 @@ impl<'a> Builder<'a> {
         let code = match &self.codes[bidx] {
             Some(code) => Arc::clone(code),
             None => {
-                let map = succ.map(|s| self.map_edge(block, s));
+                let map = succ.map(|s| self.map_edge(block, s)).transpose()?;
                 let bp = &self.dp.basics[bidx];
                 let code =
                     Arc::new(PipeCode::build(self.k, bp, map.as_ref(), &self.launch.params)?);
@@ -1470,8 +1474,8 @@ impl<'a> Builder<'a> {
                     Comp::Branch(Branch {
                         inp: raw,
                         cond_idx: self.cond_index(b),
-                        taken: (then_in, self.map_edge(b, Some(then_entry))),
-                        not_taken: (sel_f, self.map_edge(b, succ)),
+                        taken: (then_in, self.map_edge(b, Some(then_entry))?),
+                        not_taken: (sel_f, self.map_edge(b, succ)?),
                         decisions,
                         cycles: CycleBreakdown::default(),
                     }),
@@ -1508,8 +1512,8 @@ impl<'a> Builder<'a> {
                     Comp::Branch(Branch {
                         inp: raw,
                         cond_idx: self.cond_index(b),
-                        taken: (then_in, self.map_edge(b, Some(then_entry))),
-                        not_taken: (els_in, self.map_edge(b, Some(els_entry))),
+                        taken: (then_in, self.map_edge(b, Some(then_entry))?),
+                        not_taken: (els_in, self.map_edge(b, Some(els_entry))?),
                         decisions,
                         cycles: CycleBreakdown::default(),
                     }),
@@ -1557,8 +1561,8 @@ impl<'a> Builder<'a> {
                     Comp::Branch(Branch {
                         inp: raw,
                         cond_idx: self.cond_index(b),
-                        taken: (body_in, self.map_edge(b, Some(body_entry))),
-                        not_taken: (exit_in, self.map_edge(b, succ)),
+                        taken: (body_in, self.map_edge(b, Some(body_entry))?),
+                        not_taken: (exit_in, self.map_edge(b, succ)?),
                         decisions: None,
                         cycles: CycleBreakdown::default(),
                     }),
@@ -1623,8 +1627,8 @@ impl<'a> Builder<'a> {
                     Comp::Branch(Branch {
                         inp: raw,
                         cond_idx: self.cond_index(last_block),
-                        taken: (backedge, self.map_edge(last_block, Some(body_entry))),
-                        not_taken: (exit_in, self.map_edge(last_block, succ)),
+                        taken: (backedge, self.map_edge(last_block, Some(body_entry))?),
+                        not_taken: (exit_in, self.map_edge(last_block, succ)?),
                         decisions: None,
                         cycles: CycleBreakdown::default(),
                     }),

@@ -8,6 +8,7 @@
 //! [`Mapping`] when moving a token onto a channel with a different
 //! signature (this is where phi nodes are materialized).
 
+use crate::machine::SimError;
 use soff_ir::ir::{BlockId, InstKind, Kernel, ValueId};
 use soff_ir::mem as irmem;
 
@@ -64,27 +65,30 @@ impl Mapping {
     }
 }
 
-/// Resolves the launch-constant value of a *uniform* instruction
-/// (`Const`, `Param`, `LocalBase`, `PrivBase`).
+/// Resolves the launch-constant value of `v` if it is a *uniform*
+/// instruction (`Const`, `Param`, `LocalBase`, `PrivBase`), and `None`
+/// otherwise.
 ///
 /// `params` are the bound argument values in [`Kernel::params`] order.
-///
-/// # Panics
-///
-/// Panics if `v` is not uniform.
-pub fn uniform_value(k: &Kernel, v: ValueId, params: &[u64]) -> u64 {
-    match &k.instr(v).kind {
+pub fn uniform_value(k: &Kernel, v: ValueId, params: &[u64]) -> Option<u64> {
+    Some(match &k.instr(v).kind {
         InstKind::Const(bits) => *bits,
         InstKind::Param(i) => params[*i],
         InstKind::LocalBase(var) => irmem::local_addr(*var, 0),
         InstKind::PrivBase(off) => *off,
-        other => panic!("uniform_value on non-uniform instruction {other:?}"),
-    }
+        _ => return None,
+    })
 }
 
 /// Builds the mapping for CFG edge `p → s`: destination signature `sig_to`
 /// (the live-in of `s`), source signature `sig_from` (the live-out of
 /// `p`). Phis of `s` take their `p`-incoming value.
+///
+/// # Errors
+///
+/// [`SimError::InvariantViolation`] at cycle 0, naming the edge, if a
+/// phi of `s` has no incoming value from `p`, or a value `s` needs is
+/// neither uniform nor in the live-out of `p`.
 pub fn edge_mapping(
     k: &Kernel,
     p: BlockId,
@@ -92,7 +96,11 @@ pub fn edge_mapping(
     s: BlockId,
     sig_to: &[ValueId],
     params: &[u64],
-) -> Mapping {
+) -> Result<Mapping, SimError> {
+    let err = |what: String| SimError::InvariantViolation {
+        cycle: 0,
+        what: format!("glue for CFG edge {p} -> {s}: {what}"),
+    };
     let slots = sig_to
         .iter()
         .map(|&v| {
@@ -102,25 +110,24 @@ pub fn edge_mapping(
                     .iter()
                     .find(|(pred, _)| *pred == p)
                     .map(|(_, pv)| *pv)
-                    .unwrap_or_else(|| panic!("phi {v} has no incoming from {p}")),
+                    .ok_or_else(|| err(format!("phi {v} has no incoming value from {p}")))?,
                 _ => v,
             };
-            if k.instr(src).is_uniform() {
-                Slot::Uniform(uniform_value(k, src, params))
-            } else {
-                let idx = sig_from
+            match uniform_value(k, src, params) {
+                Some(u) => Ok(Slot::Uniform(u)),
+                None => sig_from
                     .iter()
                     .position(|&f| f == src)
-                    .unwrap_or_else(|| panic!("{src} missing from live-out of {p} (needed by {s})"));
-                Slot::Idx(idx)
+                    .map(Slot::Idx)
+                    .ok_or_else(|| err(format!("{src} is missing from the live-out of {p}"))),
             }
         })
-        .collect::<Vec<_>>();
+        .collect::<Result<Vec<_>, _>>()?;
     // Same signature on both sides: the hop moves the token unchanged.
     if slots.len() == sig_from.len() && slots.iter().enumerate().all(|(i, s)| *s == Slot::Idx(i)) {
-        return Mapping::identity();
+        return Ok(Mapping::identity());
     }
-    Mapping { slots, identity: false }
+    Ok(Mapping { slots, identity: false })
 }
 
 #[cfg(test)]

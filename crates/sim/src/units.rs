@@ -326,14 +326,14 @@ impl PipeCode {
                 Node::Source => {
                     for &ei in &outs_of[ui] {
                         let out = match dfg.edges[ei].kind {
-                            EdgeKind::Data(v, _) if k.instr(v).is_uniform() => {
-                                SourceOut::Uniform(uniform_value(k, v, params))
-                            }
-                            EdgeKind::Data(v, _) => SourceOut::LiveIn(
-                                dfg.live_in.iter().position(|&l| l == v).ok_or_else(|| {
-                                    err(ui, format!("{v} driven by the source but not live-in"))
-                                })?,
-                            ),
+                            EdgeKind::Data(v, _) => match uniform_value(k, v, params) {
+                                Some(u) => SourceOut::Uniform(u),
+                                None => SourceOut::LiveIn(
+                                    dfg.live_in.iter().position(|&l| l == v).ok_or_else(|| {
+                                        err(ui, format!("{v} driven by the source but not live-in"))
+                                    })?,
+                                ),
+                            },
                             EdgeKind::Order => SourceOut::Order,
                         };
                         code.drive.push(out);
@@ -371,8 +371,8 @@ impl PipeCode {
                         ));
                     }
                     for (pos, &o) in vs.iter().enumerate() {
-                        if k.instr(o).is_uniform() {
-                            operands[pos] = uniform_value(k, o, params);
+                        if let Some(u) = uniform_value(k, o, params) {
+                            operands[pos] = u;
                             continue;
                         }
                         let wired = |&ei: &usize| {

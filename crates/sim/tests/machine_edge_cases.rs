@@ -137,6 +137,49 @@ fn undecodable_unit_is_a_typed_error() {
     }
 }
 
+/// A phi with no incoming value for one of its block's CFG edges is a
+/// typed elaboration error naming the edge, not a panic in glue mapping.
+#[test]
+fn phi_missing_an_incoming_value_is_a_typed_error() {
+    use soff_ir::ir::{InstKind, ValueId};
+    let (kernel, dp) = compile(
+        "__kernel void k(__global int* a, int n) {
+            int s = 0;
+            for (int j = 0; j < n; j++) s += a[j];
+            a[get_global_id(0)] = s;
+        }",
+    );
+    let (v, pred) = kernel
+        .values
+        .iter()
+        .enumerate()
+        .find_map(|(i, instr)| match &instr.kind {
+            InstKind::Phi { incoming } if !incoming.is_empty() => {
+                Some((ValueId(i as u32), incoming[0].0))
+            }
+            _ => None,
+        })
+        .expect("kernel has a phi");
+    let mut broken = kernel.clone();
+    if let InstKind::Phi { incoming } = &mut broken.values[v.0 as usize].kind {
+        incoming.remove(0);
+    }
+    let mut gm = GlobalMemory::new();
+    let a = gm.alloc(16 * 4);
+    let args = [ArgValue::Buffer(a), ArgValue::Scalar(4)];
+    let nd = NdRange::dim1(16, 8);
+    let err = soff_sim::Machine::new(&broken, &dp, &SimConfig::default(), nd, &args)
+        .err()
+        .expect("a phi without a value for an edge must be rejected");
+    match err {
+        SimError::InvariantViolation { cycle: 0, what } => {
+            assert!(what.contains(&format!("CFG edge {pred} -> ")), "{what}");
+            assert!(what.contains(&format!("phi {v} ")), "{what}");
+        }
+        other => panic!("expected an elaboration InvariantViolation, got {other}"),
+    }
+}
+
 #[test]
 fn wrong_arguments_are_rejected() {
     let (kernel, dp) = compile("__kernel void k(__global int* a) { a[0] = 1; }");
