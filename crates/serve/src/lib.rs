@@ -13,9 +13,11 @@
 //!   checkpoint/restore: after each slice the machine state is
 //!   snapshotted and the device slot is handed to the neediest tenant
 //!   (least attained service — the tenant with the fewest consumed
-//!   cycles runs next). Slices cut at deterministic cycle numbers, and
-//!   snapshots resume bit-identically, so a tenant's results are
-//!   byte-identical whether it runs alone or interleaved with others.
+//!   cycles runs next). The job keeps its machine, and its next slice
+//!   continues it; the snapshot is the recovery point after a slot
+//!   death. Slices cut at deterministic cycle numbers, and snapshots
+//!   resume bit-identically, so a tenant's results are byte-identical
+//!   whether it runs alone or interleaved with others.
 //! - **Admission control and graceful degradation.** Per-tenant and
 //!   global queue bounds, per-tenant quotas (cycles per job, total
 //!   cycles, wall time, in-flight launches), and a load-shedding mode
@@ -49,7 +51,7 @@ pub mod chaos;
 use breaker::{Breaker, BreakerEvent, BreakerState};
 use soff_obs::{CorrId, Counter, Gauge, Histogram, Registry, TraceBuf};
 use soff_runtime::{CompiledKernel, Context};
-use soff_sim::{CancelToken, FaultPlan, RunControl, Scheduler, SimError, Snapshot};
+use soff_sim::{CancelToken, FaultPlan, Machine, RunControl, Scheduler, SimError, Snapshot};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io;
@@ -592,6 +594,10 @@ struct Job {
     /// Checkpoint from the last preempted slice (`None` before the first
     /// slice or after a retry reset).
     snapshot: Option<Box<Snapshot>>,
+    /// The machine the last slice left at its cut, which the next slice
+    /// continues. Any other outcome drops it, and the next dispatch
+    /// rebuilds a machine and restores `snapshot` into it.
+    machine: Option<Machine>,
     /// Simulated cycles completed so far (= snapshot cycle).
     cycles_done: u64,
     /// Host wall time consumed across slices.
@@ -1293,6 +1299,7 @@ impl Session {
                         args,
                         nd,
                         snapshot: None,
+                        machine: None,
                         cycles_done: 0,
                         wall_used: Duration::ZERO,
                         slices: 0,
@@ -1646,18 +1653,25 @@ fn run_slice(cfg: &ServerConfig, ctx: &mut Context, job: &mut Job, doomed: bool)
         if sabotage {
             panic!("injected tenant panic (test hook)");
         }
-        let mut machine =
-            soff_sim::Machine::new(&ck.kernel, &ck.datapath, &sim_cfg, job.nd, &job.args)?;
-        if let Some(snap) = &job.snapshot {
-            machine.restore(snap, gm)?;
+        if job.machine.is_none() {
+            let mut machine = Machine::new(&ck.kernel, &ck.datapath, &sim_cfg, job.nd, &job.args)?;
+            if let Some(snap) = &job.snapshot {
+                machine.restore(snap, gm)?;
+            }
+            job.machine = Some(machine);
         }
-        machine.run_with(gm, &ctl)
+        job.machine.as_mut().expect("machine built above").run_with(gm, &ctl)
     }));
     job.wall_used += started.elapsed();
     job.slices += 1;
 
     if doomed {
+        job.machine = None;
         return SliceOutcome::SlotDied;
+    }
+    // Only a cut leaves the machine where the next slice starts.
+    if !matches!(run, Ok(Err(SimError::DeadlineExceeded { .. }))) {
+        job.machine = None;
     }
 
     match run {
@@ -1816,7 +1830,7 @@ fn settle(
                 tenant.stats.retries += 1;
                 inner.obs.recovery("retry").inc();
                 if let Some(backup) = &job.gm_backup {
-                    *ctx.global_memory_mut() = backup.clone();
+                    ctx.global_memory_mut().rollback_to(backup);
                 }
                 job.snapshot = None;
                 job.cycles_done = 0;
@@ -1830,8 +1844,8 @@ fn settle(
             } else {
                 // Final failure: containment rollback so the tenant's
                 // memory shows no trace of the failed launch.
-                if let Some(backup) = job.gm_backup.take() {
-                    *ctx.global_memory_mut() = backup;
+                if let Some(backup) = &job.gm_backup {
+                    ctx.global_memory_mut().rollback_to(backup);
                 }
                 let error = if quarantined {
                     tenant.stats.quarantined += 1;
@@ -1847,8 +1861,8 @@ fn settle(
             job.slot_recoveries += 1;
             if job.slot_recoveries > inner.cfg.supervision.max_slot_recoveries {
                 // Slots keep dying under this job; stop re-admitting it.
-                if let Some(backup) = job.gm_backup.take() {
-                    *ctx.global_memory_mut() = backup;
+                if let Some(backup) = &job.gm_backup {
+                    ctx.global_memory_mut().rollback_to(backup);
                 }
                 Next::Finished(Err(ServeError::Faulted {
                     cycle: job.cycles_done,
@@ -1856,15 +1870,15 @@ fn settle(
                 }))
             } else {
                 // Checkpoint recovery: the doomed slice mutated global
-                // memory, but `Machine::restore` rewrites it wholesale
-                // from the snapshot, so a checkpointed job just
-                // re-admits as-is. A job with no checkpoint yet restarts
-                // from the pre-launch image.
+                // memory and its machine is gone, but `Machine::restore`
+                // rolls every buffer the snapshot holds back to its image,
+                // so a checkpointed job just re-admits as-is. A job with
+                // no checkpoint yet restarts from the pre-launch image.
                 tenant.stats.slot_recoveries += 1;
                 inner.obs.recovery("slot").inc();
                 if job.snapshot.is_none() {
                     if let Some(backup) = &job.gm_backup {
-                        *ctx.global_memory_mut() = backup.clone();
+                        ctx.global_memory_mut().rollback_to(backup);
                     }
                 }
                 Next::Requeue(job)

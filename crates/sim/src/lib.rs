@@ -81,10 +81,12 @@ const _: () = {
     owned::<DeadlockReport>();
     owned::<FaultPlan>();
     // Resilient-execution layer: cancel tokens are cloned across threads
-    // (shared), and snapshots ride inside `SimError` back to the
-    // reassembling thread (owned).
+    // (shared), snapshots ride inside `SimError` back to the reassembling
+    // thread, and a serve job carries its live machine and last snapshot
+    // from one device-slot worker to the next (owned).
     shared::<CancelToken>();
     shared::<RunControl>();
+    owned::<Machine>();
     owned::<Snapshot>();
     owned::<ConfigError>();
 };

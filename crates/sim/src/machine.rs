@@ -405,7 +405,10 @@ struct MachineState {
 /// A resumable checkpoint of a [`Machine`] plus the global memory it was
 /// mutating: channels, unit latches, glue, MSHRs, caches, barrier and
 /// work-group state, fault-plan cursor, watchdog timers, profiler
-/// counters, and a full copy of global memory.
+/// counters, and an image of global memory. The image is copy-on-write
+/// per buffer ([`GlobalMemory`]): taking it copies buffer handles, and a
+/// buffer's bytes are copied only when the running machine next writes
+/// that buffer.
 ///
 /// Restoring a snapshot into a machine built from the same kernel,
 /// datapath, launch, and configuration (checked via a structural
@@ -486,10 +489,12 @@ pub fn run(
 /// A built, steppable machine: the construction/execution split behind
 /// [`run`]. Use it directly to checkpoint ([`Machine::snapshot`]),
 /// resume ([`Machine::restore`]), or run under budgets
-/// ([`Machine::run_with`]).
-pub struct Machine<'a> {
-    kernel: &'a Kernel,
-    dp: &'a Datapath,
+/// ([`Machine::run_with`]). It owns everything it needs, so it can
+/// outlive the kernel and datapath it was built from.
+pub struct Machine {
+    kernel_name: String,
+    /// Work-group slots per datapath instance ([`Datapath::wg_slots`]).
+    wg_slots: u64,
     cfg: SimConfig,
     launch: LaunchCtx,
     /// Human-readable name per component (parallel to `st.comps`).
@@ -510,7 +515,7 @@ pub struct Machine<'a> {
     st: MachineState,
 }
 
-impl<'a> Machine<'a> {
+impl Machine {
     /// Builds the machine for one launch, validating the configuration
     /// (cache geometry, launch geometry, fault-plan component targets).
     ///
@@ -519,12 +524,12 @@ impl<'a> Machine<'a> {
     /// [`SimError::Config`] / [`SimError::Args`] on invalid
     /// configuration or launch.
     pub fn new(
-        kernel: &'a Kernel,
-        dp: &'a Datapath,
+        kernel: &Kernel,
+        dp: &Datapath,
         cfg: &SimConfig,
         nd: NdRange,
         args: &[ArgValue],
-    ) -> Result<Machine<'a>, SimError> {
+    ) -> Result<Machine, SimError> {
         cfg.cache.validate().map_err(|e| SimError::Config(e.into()))?;
         // Work-item and work-group serials are carried in 32-bit token
         // fields; a launch that cannot be represented must be rejected up
@@ -704,8 +709,8 @@ impl<'a> Machine<'a> {
 
         let faults_fired = vec![false; cfg.faults.faults.len()];
         Ok(Machine {
-            kernel,
-            dp,
+            kernel_name: kernel.name.clone(),
+            wg_slots: dp.wg_slots,
             cfg: cfg.clone(),
             launch,
             metas,
@@ -764,16 +769,19 @@ impl<'a> Machine<'a> {
         self.st.mem.line_bufs.len()
     }
 
-    /// Captures the complete architectural state plus a copy of `gm`.
-    /// `gm` must be the global memory the machine has been running
-    /// against (the snapshot stores it so a restore is self-contained).
+    /// Captures the complete architectural state plus a copy-on-write
+    /// image of `gm`. `gm` must be the global memory the machine has been
+    /// running against (the snapshot stores it so a restore is
+    /// self-contained).
     pub fn snapshot(&self, gm: &GlobalMemory) -> Snapshot {
         Snapshot { fingerprint: self.fingerprint, st: self.st.clone(), gm: gm.clone() }
     }
 
     /// Reinstates a snapshot taken from a machine with the same identity
     /// (same kernel, datapath, launch, and configuration), overwriting
-    /// this machine's state and `gm` with the checkpointed copies.
+    /// this machine's state with the checkpointed copy and rolling `gm`
+    /// back to the snapshot's image ([`GlobalMemory::rollback_to`]):
+    /// buffers allocated after the snapshot keep their ids and bytes.
     ///
     /// # Errors
     ///
@@ -786,12 +794,12 @@ impl<'a> Machine<'a> {
                 what: format!(
                     "snapshot fingerprint {:016x} != machine fingerprint {:016x} \
                      (kernel `{}`)",
-                    snap.fingerprint, self.fingerprint, self.kernel.name
+                    snap.fingerprint, self.fingerprint, self.kernel_name
                 ),
             }));
         }
         self.st = snap.st.clone();
-        *gm = snap.gm.clone();
+        gm.rollback_to(&snap.gm);
         // The tick program's ops are pure scaffolding, but its hot bytes
         // track the components just replaced wholesale.
         self.prog.resync(&self.st.comps);
@@ -808,10 +816,10 @@ impl<'a> Machine<'a> {
     }
 
     /// Runs the clock until completion, failure, or a [`RunControl`]
-    /// stop (cancellation / deadline). A budget stop carries a
-    /// [`Snapshot`]; restoring it (into this machine or a freshly built
-    /// identical one) and calling `run_with` again continues the run
-    /// bit-identically.
+    /// stop (cancellation / deadline). A budget stop leaves the machine
+    /// at the cut and carries a [`Snapshot`] of it: calling `run_with`
+    /// again on this machine, or restoring the snapshot into a freshly
+    /// built identical one first, continues the run bit-identically.
     ///
     /// # Errors
     ///
@@ -892,7 +900,7 @@ impl<'a> Machine<'a> {
             }
             if d.cur.is_none()
                 && self.st.next_wg < self.num_wgs
-                && (!self.gate_wgs || (d.active.len() as u64) < self.dp.wg_slots)
+                && (!self.gate_wgs || (d.active.len() as u64) < self.wg_slots)
             {
                 d.cur = Some((self.st.next_wg, 0));
                 d.active.insert(self.st.next_wg as u32, self.wg_size);
@@ -997,7 +1005,7 @@ impl<'a> Machine<'a> {
                 .fold((0, 0), |(o, i), (po, pi)| (o + po, i + pi));
             let profile = self.st.profiler.take().map(|p| {
                 Box::new(p.finish(
-                    self.kernel.name.clone(),
+                    self.kernel_name.clone(),
                     &self.st.comps,
                     &self.st.mem,
                     &self.st.chans,
@@ -1064,7 +1072,7 @@ impl<'a> Machine<'a> {
                         retire: d.retire.0,
                         pending: d.cur.is_some() || self.st.next_wg < self.num_wgs,
                         slots_full: self.gate_wgs
-                            && (d.active.len() as u64) >= self.dp.wg_slots,
+                            && (d.active.len() as u64) >= self.wg_slots,
                         active: {
                             let mut a: Vec<(u32, u64)> =
                                 d.active.iter().map(|(&wg, &rem)| (wg, rem)).collect();

@@ -392,6 +392,36 @@ fn cancellation_is_typed_and_resumable() {
     assert_eq!(gm.buffer(a).bytes(), &straight.1[..]);
 }
 
+/// A buffer allocated while a launch is cut (a serve tenant's
+/// `create_buffer` between two slices of its job) survives a restore into
+/// a fresh machine: it keeps its id and bytes, the next allocation gets a
+/// new id, and the resumed run ends bit-identically.
+#[test]
+fn restore_keeps_buffers_allocated_after_the_snapshot() {
+    let (kernel, dp) = compile(KERNELS[1]);
+    let nd = NdRange::dim1(16, 8);
+    let cfg = config(Scheduler::Fast, FaultPlan::none(), None);
+    let (mut gm, a) = fresh_memory();
+    let args = [ArgValue::Buffer(a), ArgValue::Scalar(5)];
+    let mut m = Machine::new(&kernel, &dp, &cfg, nd, &args).unwrap();
+    let ctl = RunControl { cycle_deadline: Some(100), ..RunControl::default() };
+    let snapshot = match m.run_with(&mut gm, &ctl) {
+        Err(SimError::DeadlineExceeded { snapshot, .. }) => snapshot,
+        other => panic!("expected DeadlineExceeded, got {other:?}"),
+    };
+    let late = gm.alloc(8);
+    gm.buffer_mut(late).bytes_mut().copy_from_slice(b"tenant-b");
+    let mut resumed = Machine::new(&kernel, &dp, &cfg, nd, &args).unwrap();
+    resumed.restore(&snapshot, &mut gm).unwrap();
+    let res = resumed.run(&mut gm).unwrap();
+    let straight = run_straight(KERNELS[1], nd, &cfg).unwrap();
+    assert_eq!(res, straight.0);
+    assert_eq!(gm.buffer(a).bytes(), &straight.1[..]);
+    assert_eq!(gm.num_buffers(), 2, "the late buffer was erased");
+    assert_eq!(gm.buffer(late).bytes(), b"tenant-b");
+    assert_eq!(gm.alloc(4), late + 1);
+}
+
 #[test]
 fn foreign_snapshot_is_rejected_with_typed_error() {
     let nd = NdRange::dim1(16, 8);
