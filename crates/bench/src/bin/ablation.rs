@@ -60,7 +60,6 @@ fn variant_record(name: &str, cycles: u64) -> Record {
             cycles,
             launches: 1,
             replication: 1,
-            wall_seconds: 0.0,
         },
         panicked: false,
         attempts: 1,

@@ -306,7 +306,6 @@ fn job_record(tenant: usize, job: usize, outcome: &Result<(u64, u32), String>) -
             cycles,
             launches: 1,
             replication: 1,
-            wall_seconds: 0.0,
         },
         panicked: false,
         attempts: attempts.max(1),

@@ -1,10 +1,10 @@
 //! # soff-bench
 //!
 //! The benchmark harness of the SOFF reproduction: one binary per table /
-//! figure of §VI (run with `cargo run -p soff-bench --bin <name>`), plus
-//! Criterion benches. Each binary prints the same rows/series the paper
-//! reports together with the published values where the paper gives them,
-//! so paper-vs-measured comparison is mechanical (see EXPERIMENTS.md).
+//! figure of §VI (run with `cargo run -p soff-bench --bin <name>`). Each
+//! binary prints the same rows/series the paper reports together with the
+//! published values where the paper gives them, so paper-vs-measured
+//! comparison is mechanical (see EXPERIMENTS.md).
 
 use soff_baseline::Framework;
 use soff_workloads::journal::JournalError;

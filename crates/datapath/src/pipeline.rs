@@ -4,11 +4,13 @@
 //! node, channels isomorphic to the DFG edges. To reduce Case-2 stalls,
 //! SOFF inserts FIFO queues so that the sum of near-maximum latencies is
 //! the same on every source-sink path; the minimal-total-FIFO problem is
-//! formulated and solved as an ILP (one capacity variable per edge, one
-//! arrival-time variable per node).
+//! formulated as an ILP (one capacity variable per edge, one arrival-time
+//! variable per node) and solved as its LP relaxation, whose optimum is
+//! integral.
 
 use crate::latency::{classify, LatencyModel, UnitClass};
-use soff_ilp::{Ilp, Rel};
+use soff_ilp::simplex::solve_lp;
+use soff_ilp::{Constraint, Rel};
 use soff_ir::dfg::{Dfg, Node, SINK, SOURCE};
 use soff_ir::ir::Kernel;
 use soff_frontend::types::Scalar;
@@ -97,9 +99,10 @@ impl BasicPipeline {
 /// Solves the §IV-C ILP: minimize `Σ q_e` subject to every source-sink
 /// path holding the same total `(L_F + 1) + q`.
 ///
-/// Variables: `q_e ≥ 0` (integer) per edge, plus an arrival time `t_v` per
-/// node with `t_v = t_u + (L_u + 1) + q_e` for every edge `u→v`; the time
-/// variables force path equality.
+/// Variables: `q_e ≥ 0` per edge, plus an arrival time `t_v` per node with
+/// `t_v = t_u + (L_u + 1) + q_e` for every edge `u→v`; the time variables
+/// force path equality. The constraint matrix is totally unimodular, so
+/// the LP optimum is already integral (see `soff-ilp`).
 pub fn balance_fifos(dfg: &Dfg, units: &[Unit]) -> Vec<u32> {
     let n_edges = dfg.edges.len();
     let n_nodes = dfg.nodes.len();
@@ -107,31 +110,26 @@ pub fn balance_fifos(dfg: &Dfg, units: &[Unit]) -> Vec<u32> {
         return Vec::new();
     }
     // Variable layout: [q_0..q_E) then [t_0..t_N).
-    let mut p = Ilp::new(n_edges + n_nodes);
     let mut obj = vec![0.0; n_edges + n_nodes];
     for o in obj.iter_mut().take(n_edges) {
         *o = 1.0;
     }
-    p.set_objective(&obj);
+    let mut cons = Vec::with_capacity(n_edges + 1);
     for (ei, e) in dfg.edges.iter().enumerate() {
         let lu = units[e.from.0 as usize].lf as f64;
         // t_to - t_from - q_e = L_u + 1
-        p.add_constraint(
-            &[
-                (n_edges + e.to.0 as usize, 1.0),
-                (n_edges + e.from.0 as usize, -1.0),
-                (ei, -1.0),
-            ],
-            Rel::Eq,
-            lu + 1.0,
-        );
-        p.mark_integer(ei);
+        let coeffs =
+            vec![(n_edges + e.to.0 as usize, 1.0), (n_edges + e.from.0 as usize, -1.0), (ei, -1.0)];
+        cons.push(Constraint { coeffs, rel: Rel::Eq, rhs: lu + 1.0 });
     }
     // Pin the source's arrival time.
-    p.add_constraint(&[(n_edges + SOURCE.0 as usize, 1.0)], Rel::Eq, 0.0);
+    let coeffs = vec![(n_edges + SOURCE.0 as usize, 1.0)];
+    cons.push(Constraint { coeffs, rel: Rel::Eq, rhs: 0.0 });
 
-    let sol = p.solve().expect("FIFO balancing ILP is always feasible");
-    (0..n_edges).map(|i| sol.int(i).max(0) as u32).collect()
+    // Latest arrival times plus slack always give a feasible point, and
+    // the objective is bounded below by 0.
+    let sol = solve_lp(&obj, &cons).expect("FIFO balancing LP is always feasible and bounded");
+    sol.x[..n_edges].iter().map(|q| q.round() as u32).collect()
 }
 
 /// The `(from, to)` node indices of edge `ei`.

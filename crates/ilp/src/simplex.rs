@@ -412,6 +412,12 @@ mod tests {
         #[test]
         fn sparse_matches_dense_on_fifo_lps(lp in fifo_lp()) {
             same_as_dense(&lp.0, &lp.1)?;
+            // Total unimodularity: every FIFO LP has an optimum, and it is
+            // an integral vertex, so `balance_fifos` needs no branching.
+            let sol = solve_lp(&lp.0, &lp.1);
+            prop_assert!(sol.is_ok(), "FIFO LP not solved: {:?}", sol);
+            let x = sol.unwrap().x;
+            prop_assert!(x.iter().all(|v| v.fract() == 0.0), "fractional optimum {:?}", x);
         }
     }
 

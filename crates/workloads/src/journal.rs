@@ -146,7 +146,6 @@ impl Record {
                 cycles: num(parts[5], "cycles")?,
                 launches: num(parts[6], "launches")? as u32,
                 replication: num(parts[7], "replication")? as u32,
-                wall_seconds: 0.0,
             },
             panicked: match parts[8] {
                 "0" => false,
@@ -420,7 +419,6 @@ mod tests {
                 cycles,
                 launches: 3,
                 replication: 2,
-                wall_seconds: 0.0,
             },
             panicked: false,
             attempts: 1,

@@ -118,25 +118,6 @@ pub struct AppResult {
     /// Datapath replication the framework used (for the Fig. 12 (b)
     /// linear-scaling extrapolation).
     pub replication: u32,
-    /// Host wall-clock seconds spent producing this cell, measured
-    /// *inside* [`execute`] (per-cell, so a parallel sweep reports
-    /// honest per-app times instead of a share of the whole sweep).
-    /// Unlike every other field it is nondeterministic; comparisons of
-    /// sweep results use [`AppResult::det_eq`], which ignores it.
-    pub wall_seconds: f64,
-}
-
-impl AppResult {
-    /// Equality over the deterministic fields (everything except
-    /// [`AppResult::wall_seconds`]): two runs of the same cell must
-    /// agree on these bit-for-bit regardless of scheduling.
-    pub fn det_eq(&self, other: &AppResult) -> bool {
-        self.outcome == other.outcome
-            && self.seconds == other.seconds
-            && self.cycles == other.cycles
-            && self.launches == other.launches
-            && self.replication == other.replication
-    }
 }
 
 /// Compiles and lowers an application source, mapping frontend and
@@ -158,23 +139,14 @@ pub fn lower_app(
 /// Builds and runs `app` on `fw` exactly as §VI does: vendor known issues
 /// first (the closed-source tools crash/hang before producing results),
 /// then compile (feature gates, resource model), then execute and verify.
-/// The returned [`AppResult::wall_seconds`] is measured around this call
-/// alone, so sweep drivers get per-cell host timing for free.
+/// The result is deterministic: two runs of the same cell compare equal.
 pub fn execute(app: &App, fw: Framework, scale: Scale) -> AppResult {
-    let start = std::time::Instant::now();
-    let mut result = execute_inner(app, fw, scale);
-    result.wall_seconds = start.elapsed().as_secs_f64();
-    result
-}
-
-fn execute_inner(app: &App, fw: Framework, scale: Scale) -> AppResult {
     let fail = |outcome| AppResult {
         outcome,
         seconds: 0.0,
         cycles: 0,
         launches: 0,
         replication: 0,
-        wall_seconds: 0.0,
     };
 
     if let Some(issue) = soff_baseline::known_issue(fw, app.name) {
@@ -199,7 +171,6 @@ fn execute_inner(app: &App, fw: Framework, scale: Scale) -> AppResult {
                 cycles: runner.total_cycles,
                 launches: runner.launches,
                 replication,
-                wall_seconds: 0.0,
             },
             Ok(false) => fail(Outcome::IncorrectAnswer),
             Err(RunError::Outcome(o)) => fail(o),
@@ -289,15 +260,5 @@ mod tests {
         // panic — the sweep engine turns it into a failure row.
         let got = lower_app("__kernel void k() { undeclared = 1; }", &[]);
         assert_eq!(got.err(), Some(Outcome::CompileError));
-    }
-
-    #[test]
-    fn wall_seconds_is_per_cell_and_det_eq_ignores_it() {
-        let apps = all_apps();
-        let app = apps.iter().find(|a| a.name == "atax").unwrap();
-        let a = execute(app, Framework::Soff, Scale::Small);
-        let b = execute(app, Framework::Soff, Scale::Small);
-        assert!(a.wall_seconds > 0.0, "wall time measured inside the cell");
-        assert!(a.det_eq(&b), "deterministic fields identical across reruns");
     }
 }

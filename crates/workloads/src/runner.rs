@@ -146,8 +146,8 @@ impl SimRunner {
     }
 
     /// Selects the simulator scheduling strategy for every subsequent
-    /// launch (the wall-clock benchmark runs the same workload under
-    /// both; simulated results are bit-identical either way).
+    /// launch (simulated results are bit-identical either way;
+    /// `tests/checkpoint_apps.rs` runs every app under both).
     pub fn set_scheduler(&mut self, s: soff_sim::Scheduler) {
         self.ctx.scheduler = s;
     }

@@ -80,7 +80,7 @@ pub struct CellResult {
     /// try, whether fresh or replayed).
     pub attempts: u32,
     /// The result was replayed from the resume journal instead of
-    /// executed (its `wall_seconds` is zero).
+    /// executed.
     pub from_journal: bool,
     /// The cell never ran: the sweep was cancelled before it started.
     /// Its row is a placeholder and the sweep output is partial.
@@ -173,7 +173,6 @@ fn failure_row() -> AppResult {
         cycles: 0,
         launches: 0,
         replication: 0,
-        wall_seconds: 0.0,
     }
 }
 
@@ -449,11 +448,10 @@ pub fn run_suite_resumable(
 /// Canonical rendering of a sweep's *deterministic* content: one JSON
 /// line per cell covering every field two runs of the same cell must
 /// agree on (outcome, device seconds/cycles, launches, replication,
-/// whether the cell panicked). Host wall time, panic messages, and
-/// memoization provenance are excluded — they legitimately vary between
-/// runs. Two sweeps over the same cells are correct iff their digests
-/// are byte-identical, which is exactly what the differential tests and
-/// the `sweep_speed` bench assert.
+/// whether the cell panicked). Panic messages and memoization provenance
+/// are excluded — they legitimately vary between runs. Two sweeps over
+/// the same cells are correct iff their digests are byte-identical,
+/// which is exactly what the differential tests assert.
 pub fn digest(results: &[CellResult]) -> String {
     let mut out = String::new();
     for r in results {
@@ -506,7 +504,7 @@ mod tests {
         assert_eq!(results.len(), 3);
         assert_eq!(results[0].memo_of, None);
         assert_eq!(results[2].memo_of, Some(0), "third cell shares the first's result");
-        assert!(results[0].result.det_eq(&results[2].result));
+        assert_eq!(results[0].result, results[2].result);
     }
 
     #[test]

@@ -40,7 +40,6 @@ fn record(app: &str, cycles: u64) -> Record {
             cycles,
             launches: 1,
             replication: 1,
-            wall_seconds: 0.0,
         },
         panicked: false,
         attempts: 1,

@@ -38,19 +38,20 @@ fn parallel_polybench_sweep_is_byte_identical_to_sequential() {
     for (s, p) in seq.iter().zip(&par) {
         assert_eq!(s.app, p.app);
         assert_eq!(s.fw, p.fw);
-        assert!(s.result.det_eq(&p.result), "{}: results diverged", s.app);
+        assert_eq!(s.result, p.result, "{}: results diverged", s.app);
         assert!(s.panic.is_none() && p.panic.is_none(), "{}: unexpected panic", s.app);
     }
 }
 
 /// A repeated-config sweep (the same cells three times — the shape of
-/// re-running fig11/fig12/table2 in one session) must also digest
-/// identically, with the duplicates memoized rather than re-executed.
+/// re-running fig11/fig12/table2 in one process) over all three
+/// frameworks must also digest identically, with the duplicates memoized
+/// rather than re-executed.
 #[test]
 fn repeated_cells_memoize_without_changing_results() {
     let apps: Vec<App> =
         polybench().into_iter().filter(|a| a.name == "atax" || a.name == "mvt").collect();
-    let fws = [Framework::Soff, Framework::XilinxLike];
+    let fws = [Framework::Soff, Framework::XilinxLike, Framework::IntelLike];
     let mut tripled = apps.clone();
     tripled.extend(apps.iter().copied());
     tripled.extend(apps.iter().copied());

@@ -60,7 +60,6 @@ fn fake(cell: &Cell, _ctx: &TaskCtx) -> AppResult {
         cycles: h % 100_000,
         launches: (h % 7 + 1) as u32,
         replication: (h % 4 + 1) as u32,
-        wall_seconds: 0.0,
     }
 }
 
@@ -292,7 +291,6 @@ fn resume_across_run_control_knob_change() {
             cycles: runner.total_cycles,
             launches: runner.launches,
             replication: runner.replication(),
-            wall_seconds: 0.0,
         }
     };
 
