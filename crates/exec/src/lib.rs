@@ -87,11 +87,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-fn run_guarded<I, T>(f: &(impl Fn(usize, I) -> T + Sync), index: usize, item: I) -> Result<T, TaskError> {
-    catch_unwind(AssertUnwindSafe(|| f(index, item)))
-        .map_err(|p| TaskError::Panicked { message: panic_message(p.as_ref()) })
-}
-
 /// Pool metrics, registered once on the global `soff-obs` registry:
 /// successful steals (how often the round-robin deal was unbalanced
 /// enough for idle workers to poach) and per-task queue latency (push
@@ -133,64 +128,16 @@ where
     T: Send,
     F: Fn(usize, I) -> T + Sync,
 {
-    let n = items.len();
-    if jobs <= 1 || n <= 1 {
-        return items.into_iter().enumerate().map(|(i, item)| run_guarded(&f, i, item)).collect();
-    }
-    let jobs = jobs.min(n);
-
-    // Items live in indexed slots; deques carry indices. A slot is
-    // taken exactly once (the deques never duplicate an index, but the
-    // take-once discipline makes that locally evident).
+    // `run_tasks_ctl` lends items by reference; a take-once slot hands each
+    // task its item by value (no retries, so every slot is taken once).
     let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    let workers: Vec<deque::Worker<usize>> = (0..jobs).map(|_| deque::Worker::new()).collect();
-    let stealers: Vec<deque::Stealer<usize>> = workers.iter().map(|w| w.stealer()).collect();
-    for i in 0..n {
-        workers[i % jobs].push(i);
-    }
-
-    let (tx, rx) = mpsc::channel::<(usize, Result<T, TaskError>)>();
-    let metrics = pool_metrics();
-    let pool_start = Instant::now();
-    std::thread::scope(|scope| {
-        for (wid, worker) in workers.into_iter().enumerate() {
-            let tx = tx.clone();
-            let (f, slots, stealers) = (&f, &slots, &stealers);
-            scope.spawn(move || loop {
-                let next = worker.pop().or_else(|| {
-                    // Steal round-robin starting after ourselves, so
-                    // workers do not all gang up on worker 0.
-                    (1..stealers.len()).find_map(|off| {
-                        match stealers[(wid + off) % stealers.len()].steal() {
-                            deque::Steal::Success(i) => {
-                                metrics.steals.inc();
-                                Some(i)
-                            }
-                            deque::Steal::Empty => None,
-                        }
-                    })
-                });
-                let Some(index) = next else { break };
-                metrics.task_wait_us.record(pool_start.elapsed().as_micros() as u64);
-                let item = slots[index]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take();
-                if let Some(item) = item {
-                    // The receiver outlives the scope; send cannot fail.
-                    let _ = tx.send((index, run_guarded(f, index, item)));
-                }
-            });
-        }
-        drop(tx); // workers hold the remaining clones
-    });
-
-    let mut out: Vec<Option<Result<T, TaskError>>> = (0..n).map(|_| None).collect();
-    for (index, result) in rx {
-        out[index] = Some(result);
-    }
-    out.into_iter()
-        .map(|slot| slot.expect("scope joined all workers, every task reported"))
+    let take = |index: usize, slot: &Mutex<Option<I>>, _: &TaskCtx| {
+        let item = slot.lock().unwrap_or_else(|e| e.into_inner()).take();
+        f(index, item.expect("each task runs once"))
+    };
+    run_tasks_ctl(jobs, &slots, &TaskOptions::default(), take, |_| false)
+        .into_iter()
+        .map(|r| r.map(|c| c.value))
         .collect()
 }
 

@@ -51,7 +51,7 @@ pub enum CodecError {
     },
     /// A string field held invalid UTF-8.
     BadUtf8,
-    /// Control-tree nesting exceeded [`MAX_REGION_DEPTH`].
+    /// Control-tree nesting exceeded `MAX_REGION_DEPTH` (512).
     TooDeep,
     /// Decoding finished with bytes left over.
     TrailingBytes,

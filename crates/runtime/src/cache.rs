@@ -31,7 +31,7 @@
 //! overflow, so a long-lived serving process cannot grow without
 //! bound. Evictions are counted in [`CacheStats`].
 //!
-//! When a [`store::DiskStore`] is attached ([`set_disk_store`]), the
+//! When a [`crate::store::DiskStore`] is attached ([`set_disk_store`]), the
 //! cache additionally persists compiles **on disk** so they survive
 //! restarts and are shared across processes:
 //!

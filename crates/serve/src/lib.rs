@@ -30,9 +30,13 @@
 //!   and reused after a crash or restart.
 //! - **Fault containment.** A tenant whose kernel panics, hangs the
 //!   watchdog, or hits injected hardware faults gets a typed per-session
-//!   error and a bounded retry (via [`soff_exec::RetryPolicy`] backoff);
-//!   its device memory is rolled back to the pre-launch state, and no
-//!   other tenant observes anything but scheduling latency.
+//!   error and a bounded retry (via [`soff_exec::RetryPolicy`] backoff),
+//!   and no other tenant observes anything but scheduling latency. A job
+//!   that does not complete leaves no trace: at its first dispatch it
+//!   takes a copy-on-write image of its tenant's memory, and every way it
+//!   can end short of success (retry exhaustion, quarantine, the
+//!   slot-death limit, a launch error, a quota kill, a cancel) rewinds
+//!   the memory to that image.
 //! - **First-class observability.** Every server instruments the full
 //!   request path on a `soff-obs` registry ([`ServerConfig::registry`];
 //!   the process-global one by default): per-tenant queue-wait and
@@ -570,33 +574,41 @@ impl ServerStats {
     /// admission (the starvation metric; 1.0 = perfectly fair,
     /// `f64::INFINITY` = someone starved).
     pub fn completion_fairness(&self) -> f64 {
-        let counts: Vec<u64> = self.tenants.iter().map(|t| t.completed).collect();
-        match (counts.iter().max(), counts.iter().min()) {
-            (Some(&max), Some(&min)) if max > 0 => {
-                if min == 0 {
-                    f64::INFINITY
-                } else {
-                    max as f64 / min as f64
-                }
-            }
-            _ => 1.0,
-        }
+        fairness(self.tenants.iter().map(|t| t.completed))
+    }
+}
+
+/// [`ServerStats::completion_fairness`] over per-tenant completed counts.
+fn fairness(completed: impl Iterator<Item = u64>) -> f64 {
+    let (max, min) = completed.fold((0, u64::MAX), |(mx, mn), c| (mx.max(c), mn.min(c)));
+    if max == 0 {
+        1.0
+    } else if min == 0 {
+        f64::INFINITY
+    } else {
+        max as f64 / min as f64
     }
 }
 
 // ------------------------------------------------------------------ jobs
 
 /// A job's mutable execution state, owned by the scheduler.
+///
+/// A job recovers from two points: `start`, its tenant's memory at first
+/// dispatch (cycle 0, whose machine state `Machine::new` rebuilds), and
+/// `snapshot`, its last cut. Every settle other than success or a cut
+/// rewinds memory to `start` ([`Job::rewind`]), and a rebuilt machine
+/// resumes from the newer of the two.
 struct Job {
     kernel: KernelHandle,
     args: Vec<soff_ir::mem::ArgValue>,
     nd: NdRange,
     /// Checkpoint from the last preempted slice (`None` before the first
-    /// slice or after a retry reset).
+    /// cut or after a retry reset).
     snapshot: Option<Box<Snapshot>>,
     /// The machine the last slice left at its cut, which the next slice
     /// continues. Any other outcome drops it, and the next dispatch
-    /// rebuilds a machine and restores `snapshot` into it.
+    /// rebuilds one.
     machine: Option<Machine>,
     /// Simulated cycles completed so far (= snapshot cycle).
     cycles_done: u64,
@@ -617,10 +629,9 @@ struct Job {
     slot_recoveries: u32,
     /// Earliest dispatch time (retry backoff).
     not_before: Option<Instant>,
-    /// Device memory as it was before the job's first slice, for
-    /// containment rollback on failure/retry. Taken lazily at first
-    /// dispatch.
-    gm_backup: Option<soff_ir::mem::GlobalMemory>,
+    /// Copy-on-write image of the tenant's memory at the job's first
+    /// dispatch (`None` before it).
+    start: Option<soff_ir::mem::GlobalMemory>,
     /// Profiler config when this job was sampled for profiling. Decided
     /// once at admission and constant for the job's life: slice snapshots
     /// fingerprint the profiling decision, so flipping it mid-job would
@@ -631,14 +642,28 @@ struct Job {
     queued_at: Instant,
 }
 
+impl Job {
+    /// Rolls the tenant's memory back to `start`: every buffer the image
+    /// holds gets its bytes back, and buffers created since keep their ids
+    /// and bytes. In-order queues guarantee nothing but this job wrote the
+    /// image's buffers since it was taken.
+    fn rewind(&self, ctx: &mut Context) {
+        if let Some(start) = &self.start {
+            ctx.global_memory_mut().rollback_to(start);
+        }
+    }
+}
+
 enum JobState {
     Queued(Box<Job>),
-    Running,
+    /// On a worker; `Session::cancel` raises the token to stop the slice
+    /// at the simulator's next poll point.
+    Running(CancelToken),
     Done(Result<JobOutput, ServeError>),
 }
 
 struct Tenant {
-    /// `None` while a worker executes a slice for this tenant (the
+    /// `None` exactly while a worker executes a slice for this tenant (the
     /// worker owns the context — and with it the device memory — for the
     /// slice's duration).
     ctx: Option<Context>,
@@ -648,11 +673,7 @@ struct Tenant {
     queue: VecDeque<u64>,
     jobs: HashMap<u64, JobState>,
     next_seq: u64,
-    on_worker: bool,
     closed: bool,
-    /// Cancel token of the job currently on a worker, so `cancel` can
-    /// interrupt a running slice without waiting for its deadline.
-    running_cancel: Option<CancelToken>,
     /// Faults to attach to the next enqueue (test hook).
     pending_faults: FaultPlan,
     /// Panicking attempts to attach to the next enqueue (test hook).
@@ -682,7 +703,7 @@ impl Tenant {
     fn in_flight(&self) -> usize {
         self.jobs
             .values()
-            .filter(|s| matches!(s, JobState::Queued(_) | JobState::Running))
+            .filter(|s| matches!(s, JobState::Queued(_) | JobState::Running(_)))
             .count()
     }
 }
@@ -926,9 +947,7 @@ impl Server {
                 queue: VecDeque::new(),
                 jobs: HashMap::new(),
                 next_seq: 0,
-                on_worker: false,
                 closed: false,
-                running_cancel: None,
                 pending_faults: FaultPlan::none(),
                 pending_panics: 0,
                 breaker: Breaker::new(self.inner.cfg.supervision.breaker),
@@ -1070,11 +1089,6 @@ pub struct Session {
 }
 
 impl Session {
-    /// The session's tenant name.
-    pub fn server_session_id(&self) -> u32 {
-        self.id
-    }
-
     /// Runs `f` on this tenant's context once it is resident (not on a
     /// worker) and, if `drained` is set, once the job queue is empty —
     /// the OpenCL in-order-queue semantics for buffer reads/writes.
@@ -1310,7 +1324,7 @@ impl Session {
                         probe,
                         slot_recoveries: 0,
                         not_before: None,
-                        gm_backup: None,
+                        start: None,
                         profile,
                         queued_at: Instant::now(),
                     };
@@ -1336,8 +1350,8 @@ impl Session {
 
     /// Requests cancellation of a job: a queued job completes immediately
     /// as [`ServeError::Cancelled`]; a running job stops at the
-    /// simulator's next poll point. Returns whether the job was still in
-    /// flight.
+    /// simulator's next poll point. Either way the job leaves no trace in
+    /// the tenant's memory. Returns whether the job was still in flight.
     pub fn cancel(&self, job: JobId) -> bool {
         if job.session != self.id {
             return false;
@@ -1347,16 +1361,21 @@ impl Session {
         let Some(tenant) = state.tenants.get_mut(&self.id) else { return false };
         match tenant.jobs.get_mut(&job.seq) {
             Some(slot @ JobState::Queued(_)) => {
-                let probe = match &*slot {
-                    JobState::Queued(j) => j.probe,
-                    _ => false,
+                let cancelled = JobState::Done(Err(ServeError::Cancelled));
+                let JobState::Queued(queued) = std::mem::replace(slot, cancelled) else {
+                    unreachable!("matched Queued above")
                 };
-                *slot = JobState::Done(Err(ServeError::Cancelled));
+                // A job requeued between slices is its tenant's front job,
+                // so no worker holds the context; a job that never ran has
+                // nothing to rewind.
+                if let Some(ctx) = tenant.ctx.as_mut() {
+                    queued.rewind(ctx);
+                }
                 tenant.queue.retain(|&s| s != job.seq);
                 tenant.stats.cancelled += 1;
                 // A cancelled probe proves nothing; return its slot so
                 // the next admission can probe instead.
-                tenant.breaker.on_abandoned(probe);
+                tenant.breaker.on_abandoned(queued.probe);
                 tenant.obs.breaker_state.set(tenant.breaker.gauge_value());
                 state.global_queued -= 1;
                 let obs = &self.inner.obs;
@@ -1372,45 +1391,23 @@ impl Session {
                 self.inner.progress.notify_all();
                 true
             }
-            Some(JobState::Running) => {
-                // The token was cloned into the running slice's
-                // RunControl, so cancelling the tenant-side clone stops
-                // the simulator at its next poll point.
-                if let Some(tok) = tenant.running_cancel.as_ref() {
-                    tok.cancel();
-                }
+            Some(JobState::Running(token)) => {
+                token.cancel();
                 true
             }
             _ => false,
         }
     }
 
-    /// Blocks until `job` completes and consumes its result.
+    /// Blocks until `job` completes and consumes its result:
+    /// [`Session::wait_deadline`] with no deadline.
     ///
     /// # Errors
     ///
     /// The job's own failure, or [`ServeError::UnknownJob`] for a
     /// foreign/consumed id.
     pub fn wait(&self, job: JobId) -> Result<JobOutput, ServeError> {
-        if job.session != self.id {
-            return Err(ServeError::UnknownJob);
-        }
-        let mut st = lock(&self.inner.state);
-        loop {
-            let tenant = st.tenants.get_mut(&self.id).ok_or(ServeError::Closed)?;
-            match tenant.jobs.get(&job.seq) {
-                None => return Err(ServeError::UnknownJob),
-                Some(JobState::Done(_)) => {
-                    let Some(JobState::Done(result)) = tenant.jobs.remove(&job.seq) else {
-                        unreachable!("checked Done above")
-                    };
-                    return result;
-                }
-                Some(_) => {
-                    st = self.inner.progress.wait(st).expect("progress condvar");
-                }
-            }
-        }
+        self.wait_deadline(job, Duration::MAX)
     }
 
     /// Like [`Session::wait`], but gives up after `wall_budget` of host
@@ -1431,7 +1428,8 @@ impl Session {
             return Err(ServeError::UnknownJob);
         }
         let started = Instant::now();
-        let deadline = started + wall_budget;
+        // `None` when the budget reaches past any representable instant.
+        let deadline = started.checked_add(wall_budget);
         let mut st = lock(&self.inner.state);
         loop {
             let tenant = st.tenants.get_mut(&self.id).ok_or(ServeError::Closed)?;
@@ -1444,17 +1442,16 @@ impl Session {
                     return result;
                 }
                 Some(_) => {
-                    let now = Instant::now();
-                    let Some(left) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-                    else {
-                        return Err(ServeError::WaitTimeout { waited: started.elapsed() });
+                    st = match deadline {
+                        None => self.inner.progress.wait(st).expect("progress condvar"),
+                        Some(deadline) => {
+                            let left = deadline.saturating_duration_since(Instant::now());
+                            if left.is_zero() {
+                                return Err(ServeError::WaitTimeout { waited: started.elapsed() });
+                            }
+                            self.inner.progress.wait_timeout(st, left).expect("progress condvar").0
+                        }
                     };
-                    let (guard, _timeout) = self
-                        .inner
-                        .progress
-                        .wait_timeout(st, left)
-                        .expect("progress condvar");
-                    st = guard;
                 }
             }
         }
@@ -1466,7 +1463,7 @@ impl Session {
         loop {
             match st.tenants.get(&self.id) {
                 None => return,
-                Some(t) if t.queue.is_empty() && !t.on_worker => return,
+                Some(t) if t.queue.is_empty() && t.ctx.is_some() => return,
                 Some(_) => st = self.inner.progress.wait(st).expect("progress condvar"),
             }
         }
@@ -1530,13 +1527,10 @@ fn worker_loop(inner: &Inner) {
             Some(sid) => {
                 let tenant = st.tenants.get_mut(&sid).expect("picked tenant exists");
                 let seq = tenant.queue.pop_front().expect("picked tenant has work");
-                let slot = tenant.jobs.get_mut(&seq).expect("queued job exists");
-                let JobState::Queued(mut job) = std::mem::replace(slot, JobState::Running)
-                else {
+                let Some(JobState::Queued(mut job)) = tenant.jobs.remove(&seq) else {
                     unreachable!("queued id maps to Queued state")
                 };
-                tenant.on_worker = true;
-                tenant.running_cancel = Some(job.cancel.clone());
+                tenant.jobs.insert(seq, JobState::Running(job.cancel.clone()));
                 let corr = CorrId { session: sid as u64, seq };
                 let wait_us = job.queued_at.elapsed().as_micros() as u64;
                 tenant.obs.queue_wait_us.record(wait_us);
@@ -1560,7 +1554,7 @@ fn worker_loop(inner: &Inner) {
             }
             None => {
                 let all_drained = st.global_queued == 0
-                    && st.tenants.values().all(|t| !t.on_worker);
+                    && st.tenants.values().all(|t| t.ctx.is_some());
                 if st.shutdown && all_drained {
                     inner.work_ready.notify_all();
                     return;
@@ -1569,7 +1563,7 @@ fn worker_loop(inner: &Inner) {
                 let wake = st
                     .tenants
                     .values()
-                    .filter(|t| !t.on_worker && t.ctx.is_some())
+                    .filter(|t| t.ctx.is_some())
                     .filter_map(|t| {
                         let front = t.queue.front()?;
                         match t.jobs.get(front) {
@@ -1596,7 +1590,7 @@ fn worker_loop(inner: &Inner) {
 fn pick_tenant(st: &State, now: Instant) -> Option<u32> {
     let mut best: Option<(u64, u32)> = None;
     for (&sid, t) in &st.tenants {
-        if t.on_worker || t.ctx.is_none() {
+        if t.ctx.is_none() {
             continue;
         }
         let Some(front) = t.queue.front() else { continue };
@@ -1640,11 +1634,8 @@ fn run_slice(cfg: &ServerConfig, ctx: &mut Context, job: &mut Job, doomed: bool)
     ctl.cycle_deadline = Some(slice_end);
     ctl.cancel = Some(job.cancel.clone());
 
-    if job.gm_backup.is_none() {
-        // First dispatch: capture the pre-launch memory image for
-        // containment rollback. In-order queues guarantee nothing else
-        // writes this tenant's memory until the job settles.
-        job.gm_backup = Some(ctx.global_memory_mut().clone());
+    if job.start.is_none() {
+        job.start = Some(ctx.global_memory_mut().clone());
     }
 
     let sabotage = job.panics_left > 0;
@@ -1709,7 +1700,7 @@ fn run_slice(cfg: &ServerConfig, ctx: &mut Context, job: &mut Job, doomed: bool)
 }
 
 /// Folds a slice outcome back into the shared state: accounting, quota
-/// checks, retry/rollback, completion, and wakeups.
+/// checks, retry/recovery, completion, and wakeups.
 #[allow(clippy::too_many_arguments)]
 fn settle(
     inner: &Inner,
@@ -1727,7 +1718,6 @@ fn settle(
     // are disjoint field borrows rather than repeated whole-guard derefs.
     let state = &mut **st;
     let tenant = state.tenants.get_mut(&sid).expect("tenant exists while job in flight");
-    tenant.running_cancel = None;
     tenant.obs.slice_us.record(slice_us);
     let corr = CorrId { session: sid as u64, seq };
 
@@ -1750,14 +1740,10 @@ fn settle(
     }
 
     enum Next {
-        Requeue(Box<Job>),
+        Requeue,
         Finished(Result<JobOutput, ServeError>),
     }
 
-    let mut finished = false;
-    // `job` is moved by the Requeue arm below; the breaker feedback in
-    // the Finished arm needs the probe tag, so capture it up front.
-    let probe = job.probe;
     let next = match outcome {
         SliceOutcome::Done(mut sim) => {
             // A sampled job's profiler rode along in every snapshot, so
@@ -1813,7 +1799,7 @@ fn settle(
                     limit: wall.as_millis() as u64,
                 }))
             } else {
-                Next::Requeue(job)
+                Next::Requeue
             }
         }
         SliceOutcome::Failed { error, retryable, .. } => {
@@ -1825,13 +1811,10 @@ fn settle(
             let q = inner.cfg.supervision.quarantine_after;
             let quarantined = retryable && q > 0 && job.attempts >= q;
             if retryable && !quarantined && job.attempts < retry.max_attempts.max(1) {
-                // Contained fault, budget left: roll memory back, clear
-                // transient injected faults, back off, try again.
+                // Contained fault, budget left: start over from `start`,
+                // clear transient injected faults, back off, try again.
                 tenant.stats.retries += 1;
                 inner.obs.recovery("retry").inc();
-                if let Some(backup) = &job.gm_backup {
-                    ctx.global_memory_mut().rollback_to(backup);
-                }
                 job.snapshot = None;
                 job.cycles_done = 0;
                 job.faults = FaultPlan::none();
@@ -1840,20 +1823,13 @@ fn settle(
                     Instant::now()
                         + Duration::from_millis(retry.backoff_ms(seq as usize, job.attempts)),
                 );
-                Next::Requeue(job)
+                Next::Requeue
+            } else if quarantined {
+                tenant.stats.quarantined += 1;
+                inner.obs.quarantine(&tenant.stats.name).inc();
+                let attempts = job.attempts;
+                Next::Finished(Err(ServeError::Quarantined { attempts, last: Box::new(error) }))
             } else {
-                // Final failure: containment rollback so the tenant's
-                // memory shows no trace of the failed launch.
-                if let Some(backup) = &job.gm_backup {
-                    ctx.global_memory_mut().rollback_to(backup);
-                }
-                let error = if quarantined {
-                    tenant.stats.quarantined += 1;
-                    inner.obs.quarantine(&tenant.stats.name).inc();
-                    ServeError::Quarantined { attempts: job.attempts, last: Box::new(error) }
-                } else {
-                    error
-                };
                 Next::Finished(Err(error))
             }
         }
@@ -1861,33 +1837,36 @@ fn settle(
             job.slot_recoveries += 1;
             if job.slot_recoveries > inner.cfg.supervision.max_slot_recoveries {
                 // Slots keep dying under this job; stop re-admitting it.
-                if let Some(backup) = &job.gm_backup {
-                    ctx.global_memory_mut().rollback_to(backup);
-                }
                 Next::Finished(Err(ServeError::Faulted {
                     cycle: job.cycles_done,
                     what: format!("device slot died {} times under job", job.slot_recoveries),
                 }))
             } else {
-                // Checkpoint recovery: the doomed slice mutated global
-                // memory and its machine is gone, but `Machine::restore`
-                // rolls every buffer the snapshot holds back to its image,
-                // so a checkpointed job just re-admits as-is. A job with
-                // no checkpoint yet restarts from the pre-launch image.
+                // Checkpoint recovery: the doomed slice's machine is gone,
+                // and the next dispatch resumes from the last cut.
                 tenant.stats.slot_recoveries += 1;
                 inner.obs.recovery("slot").inc();
-                if job.snapshot.is_none() {
-                    if let Some(backup) = &job.gm_backup {
-                        ctx.global_memory_mut().rollback_to(backup);
-                    }
-                }
-                Next::Requeue(job)
+                Next::Requeue
             }
         }
     };
 
+    // The recovery rule: a job that does not complete leaves no trace.
+    // A cut keeps its machine and memory, and success keeps what the job
+    // wrote; every other settle rewinds memory to `start`. A requeued job
+    // then rebuilds its machine at cycle 0, or restores its last cut,
+    // which rolls memory forward to the cut's image.
+    let keeps = match &next {
+        Next::Requeue => job.machine.is_some(),
+        Next::Finished(result) => result.is_ok(),
+    };
+    if !keeps {
+        job.rewind(&mut ctx);
+    }
+
+    let finished = matches!(next, Next::Finished(_));
     match next {
-        Next::Requeue(mut job) => {
+        Next::Requeue => {
             job.queued_at = Instant::now();
             if let Some(tr) = &inner.obs.trace {
                 tr.begin("queue", corr, &tenant.obs.label, job.cycles_done);
@@ -1909,12 +1888,12 @@ fn settle(
             // The breaker sees settled outcomes only: transient faults
             // that retry heals never count against the tenant.
             let ev = match &result {
-                Ok(_) => tenant.breaker.on_success(probe),
+                Ok(_) => tenant.breaker.on_success(job.probe),
                 Err(ServeError::Cancelled) => {
-                    tenant.breaker.on_abandoned(probe);
+                    tenant.breaker.on_abandoned(job.probe);
                     None
                 }
-                Err(_) => tenant.breaker.on_failure(probe),
+                Err(_) => tenant.breaker.on_failure(job.probe),
             };
             tenant.obs.breaker_state.set(tenant.breaker.gauge_value());
             if matches!(ev, Some(BreakerEvent::Closed)) {
@@ -1927,24 +1906,11 @@ fn settle(
             tenant.jobs.insert(seq, JobState::Done(result));
             state.global_queued -= 1;
             inner.obs.queue_depth.set(state.global_queued as f64);
-            finished = true;
         }
     }
-    tenant.on_worker = false;
     tenant.ctx = Some(ctx);
     if finished {
-        // Live fairness: max/min completed across tenants (mirrors
-        // ServerStats::completion_fairness), recomputed per completion.
-        let counts = state.tenants.values().map(|t| t.stats.completed);
-        let (max, min) = counts.fold((0u64, u64::MAX), |(mx, mn), c| (mx.max(c), mn.min(c)));
-        let fairness = if max == 0 {
-            1.0
-        } else if min == 0 {
-            f64::INFINITY
-        } else {
-            max as f64 / min as f64
-        };
-        inner.obs.fairness.set(fairness);
+        inner.obs.fairness.set(fairness(state.tenants.values().map(|t| t.stats.completed)));
     }
     inner.work_ready.notify_all();
     inner.progress.notify_all();

@@ -9,10 +9,11 @@
 //! deterministic and the assertions cannot race a worker.
 
 use soff_serve::{
-    NdRange, QueueScope, QuotaKind, ServeError, Server, ServerConfig, Session, TenantQuota,
+    Buffer, NdRange, QueueScope, QuotaKind, ServeError, Server, ServerConfig, Session,
+    TenantQuota, TenantStats,
 };
 use soff_sim::{Fault, FaultPlan};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SRC: &str = r#"
 __kernel void bump(__global float* a, int iters, float bias) {
@@ -428,4 +429,158 @@ fn closed_session_and_shutdown_reject_typed() {
         Err(ServeError::Closed) => {}
         other => panic!("expected Closed connect, got {:?}", other.map(|_| ())),
     }
+}
+
+// ------------------------------------------------------------ no trace
+//
+// A job that does not complete leaves its tenant's memory as it found
+// it. With 10 iterations per item, the jobs below have written back
+// thousands of floats by cycle 1 000 and run for tens of thousands of
+// cycles.
+
+const WIDE: usize = 65536;
+
+/// A `bump` launch over `WIDE` floats, its buffer, and the buffer's bytes
+/// read back before anything is enqueued.
+fn wide_job(sess: &Session) -> (soff_serve::KernelHandle, Buffer, Vec<u8>) {
+    let program = sess.build_program(SRC, &[]).unwrap();
+    let buf = sess.create_buffer(WIDE * 4).unwrap();
+    let bytes: Vec<u8> = (0..WIDE).flat_map(|i| (i as f32).to_le_bytes()).collect();
+    sess.write_buffer(buf, &bytes).unwrap();
+    let mut k = sess.kernel(&program, "bump").unwrap();
+    k.set_arg_buffer(0, buf).set_arg_i32(1, 10).set_arg_f32(2, 0.5);
+    let before = sess.read_buffer(buf).unwrap();
+    assert_eq!(before, bytes);
+    (k, buf, before)
+}
+
+fn wide() -> NdRange {
+    NdRange::dim1(WIDE as u64, 4)
+}
+
+/// Asserts `sess`'s `buf` reads back as `before`, naming how many floats
+/// differ otherwise.
+fn assert_untouched(sess: &Session, buf: Buffer, before: &[u8]) {
+    let after = sess.read_buffer(buf).unwrap();
+    let modified = after.chunks(4).zip(before.chunks(4)).filter(|(a, b)| a != b).count();
+    assert_eq!(modified, 0, "{modified} of {WIDE} floats modified by a job that did not complete");
+}
+
+/// Spins until `cond` holds on the server's accounting (bounded, so a
+/// scheduling bug fails the test instead of hanging it).
+fn spin_until(server: &Server, cond: impl Fn(&[TenantStats]) -> bool) {
+    let started = Instant::now();
+    while !cond(&server.stats().tenants) {
+        assert!(started.elapsed() < Duration::from_secs(120), "condition never held");
+        std::thread::yield_now();
+    }
+}
+
+/// Two tenants on one slot: least attained service alternates their
+/// slices, and a settle and the next dispatch happen under one lock hold.
+/// So while the first tenant has consumed more cycles than the second,
+/// the second holds the slot and the first tenant's job waits requeued.
+fn first_is_requeued(tenants: &[TenantStats], min_cycles: u64) -> bool {
+    tenants[0].cycles >= min_cycles && tenants[0].cycles > tenants[1].cycles
+}
+
+fn one_slot_500() -> Server {
+    Server::new(ServerConfig { device_slots: 1, slice_cycles: 500, ..ServerConfig::default() })
+        .unwrap()
+}
+
+#[test]
+fn job_cycles_kill_leaves_no_trace() {
+    let server = Server::new(ServerConfig {
+        device_slots: 1,
+        slice_cycles: 500,
+        quota: TenantQuota { max_job_cycles: 1_000, ..TenantQuota::default() },
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let sess = server.connect("hog").unwrap();
+    let (k, buf, before) = wide_job(&sess);
+    let job = sess.enqueue(&k, wide()).unwrap();
+    match sess.wait(job) {
+        Err(ServeError::QuotaExceeded { what: QuotaKind::JobCycles, .. }) => {}
+        other => panic!("expected JobCycles quota, got {other:?}"),
+    }
+    assert_untouched(&sess, buf, &before);
+}
+
+#[test]
+fn cancel_between_slices_leaves_no_trace() {
+    let server = one_slot_500();
+    let a = server.connect("cancelled").unwrap();
+    let b = server.connect("neighbour").unwrap();
+    let (ka, abuf, before) = wide_job(&a);
+    let (kb, _, _) = wide_job(&b);
+    let ja = a.enqueue(&ka, wide()).unwrap();
+    let jb = b.enqueue(&kb, wide()).unwrap();
+    spin_until(&server, |t| first_is_requeued(t, 1_000));
+    assert!(a.cancel(ja), "the job is still in flight");
+    match a.wait(ja) {
+        Err(ServeError::Cancelled) => {}
+        other => panic!("expected Cancelled, got {other:?}"),
+    }
+    assert_untouched(&a, abuf, &before);
+    b.cancel(jb);
+    let _ = b.wait(jb);
+}
+
+#[test]
+fn cancel_mid_slice_leaves_no_trace() {
+    // One slice covers the whole job, so the cancel lands inside it.
+    let server = Server::new(ServerConfig {
+        device_slots: 1,
+        slice_cycles: 1 << 40,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let sess = server.connect("runner").unwrap();
+    let (k, buf, before) = wide_job(&sess);
+    let job = sess.enqueue(&k, wide()).unwrap();
+    let started = Instant::now();
+    while server.stats().slices == 0 {
+        assert!(started.elapsed() < Duration::from_secs(120), "the job never dispatched");
+        std::thread::yield_now();
+    }
+    // Let the slice write part of the buffer back before it is cancelled.
+    std::thread::sleep(Duration::from_millis(400));
+    assert!(sess.cancel(job), "the job is still in flight");
+    match sess.wait(job) {
+        Err(ServeError::Cancelled) => {}
+        other => panic!("expected Cancelled, got {other:?}"),
+    }
+    assert_untouched(&sess, buf, &before);
+}
+
+#[test]
+fn buffer_created_during_a_killed_job_survives_the_rewind() {
+    let server = one_slot_500();
+    let a = server
+        .connect_with_quota(
+            "killed",
+            TenantQuota { max_job_cycles: 1_500, ..TenantQuota::default() },
+        )
+        .unwrap();
+    let b = server.connect("neighbour").unwrap();
+    let (ka, abuf, before) = wide_job(&a);
+    let (kb, _, _) = wide_job(&b);
+    let ja = a.enqueue(&ka, wide()).unwrap();
+    let jb = b.enqueue(&kb, wide()).unwrap();
+    spin_until(&server, |t| first_is_requeued(t, 500));
+    let extra = a.create_buffer(64).unwrap();
+    match a.wait(ja) {
+        Err(ServeError::QuotaExceeded { what: QuotaKind::JobCycles, .. }) => {}
+        other => panic!("expected JobCycles quota, got {other:?}"),
+    }
+    assert_untouched(&a, abuf, &before);
+    assert_eq!(a.read_buffer(extra).unwrap(), vec![0u8; 64], "the new buffer keeps its bytes");
+    let later = a.create_buffer(64).unwrap();
+    assert_ne!(later, extra, "the new buffer keeps its id");
+    a.write_buffer(later, &[7u8; 64]).unwrap();
+    assert_eq!(a.read_buffer(extra).unwrap(), vec![0u8; 64]);
+    b.cancel(jb);
+    let _ = b.wait(jb);
 }

@@ -37,7 +37,6 @@ use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Which main-loop strategy drives the machine.
 ///
@@ -165,8 +164,8 @@ impl CancelToken {
 ///
 /// Cycle deadlines are *deterministic*: the run stops before executing
 /// the deadline cycle, so two runs with the same deadline stop at the
-/// same machine state. Wall budgets and cancellation are polled every
-/// [`RunControl::POLL_CYCLES`] simulated cycles and therefore stop at a
+/// same machine state. Cancellation is polled every
+/// [`RunControl::POLL_CYCLES`] simulated cycles and therefore stops at a
 /// run-dependent cycle — which is harmless, because the snapshot carried
 /// by the error resumes bit-identically from *any* cut point.
 #[derive(Debug, Clone, Default)]
@@ -176,13 +175,10 @@ pub struct RunControl {
     /// Absolute simulated-cycle deadline: the run returns
     /// [`SimError::DeadlineExceeded`] instead of executing this cycle.
     pub cycle_deadline: Option<u64>,
-    /// Wall-clock budget for this `run_with` call.
-    pub wall_budget: Option<Duration>,
 }
 
 impl RunControl {
-    /// How often (in simulated cycles) the wall clock and the cancel
-    /// token are polled.
+    /// How often (in simulated cycles) the cancel token is polled.
     pub const POLL_CYCLES: u64 = 1024;
 
     /// No budgets, no cancellation — the historical [`run`] behaviour.
@@ -277,7 +273,7 @@ pub enum SimError {
         /// Resumable checkpoint of the full architectural state.
         snapshot: Box<Snapshot>,
     },
-    /// A [`RunControl`] deadline (cycle or wall) expired. Not a terminal
+    /// The [`RunControl::cycle_deadline`] was reached. Not a terminal
     /// failure: the snapshot resumes the run bit-identically.
     DeadlineExceeded {
         /// Cycle at which the run stopped (= the snapshot's cycle).
@@ -829,8 +825,7 @@ impl Machine {
         gm: &mut GlobalMemory,
         ctl: &RunControl,
     ) -> Result<SimResult, SimError> {
-        let started = Instant::now();
-        let polled = ctl.cancel.is_some() || ctl.wall_budget.is_some();
+        let polled = ctl.cancel.is_some();
         let mut next_poll = self.st.now;
         loop {
             if self.st.now >= self.cfg.max_cycles {
@@ -856,12 +851,6 @@ impl Machine {
                 next_poll = self.st.now + RunControl::POLL_CYCLES;
                 if ctl.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                     return Err(SimError::Cancelled {
-                        cycle: self.st.now,
-                        snapshot: Box::new(self.snapshot(gm)),
-                    });
-                }
-                if ctl.wall_budget.is_some_and(|b| started.elapsed() >= b) {
-                    return Err(SimError::DeadlineExceeded {
                         cycle: self.st.now,
                         snapshot: Box::new(self.snapshot(gm)),
                     });

@@ -26,7 +26,7 @@
 //! basic block), work-group lifetime and barrier-release spans for the
 //! Chrome trace-event / Perfetto export, and a bottleneck ranking derived
 //! from the same channel wiring the deadlock forensics use
-//! ([`crate::diag::channel_wiring`]).
+//! (`diag::channel_wiring`).
 //!
 //! Profiling is off by default ([`crate::machine::SimConfig::profile`] is
 //! `None`): the per-unit counter vectors are not even allocated, the

@@ -1,7 +1,7 @@
 //! Basic-pipeline simulation: functional units, internal channels, and the
 //! run-time pipelining handshake (§IV-A/B/C).
 //!
-//! Each basic pipeline is lowered once per launch into a [`PipeCode`]: a
+//! Each basic pipeline is lowered once per launch into a `PipeCode`: a
 //! flat unit table in which every instruction is decoded into a micro-op
 //! with a fixed-arity operand template (uniforms pre-filled), every unit's
 //! in/out-edge wiring is resolved to dense indices, and the sink's slot

@@ -153,7 +153,7 @@ fn key_strings(cell: &Cell) -> (String, String, String) {
 /// Keying them would needlessly strand journals across a knob change;
 /// the `resume_across_run_control_knob_change` regression test pins this
 /// invariant. Anything that *does* change results (app set, framework,
-/// scale, cell order) must go through [`Cell::key`] and therefore this
+/// scale, cell order) must go through `Cell::key` and therefore this
 /// hash.
 pub fn sweep_identity(cells: &[Cell]) -> u64 {
     let mut desc = String::new();
