@@ -61,7 +61,7 @@ use breaker::{Breaker, BreakerState};
 use soff_obs::{Counter, Gauge, Histogram, Registry, TraceBuf};
 use soff_runtime::Context;
 use soff_sim::{CancelToken, FaultPlan, Machine, Snapshot};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -102,8 +102,6 @@ struct Job {
     /// continues. Any other outcome drops it, and the next dispatch
     /// rebuilds one.
     machine: Option<Machine>,
-    /// Simulated cycles completed so far (= snapshot cycle).
-    cycles_done: u64,
     /// Host wall time consumed across slices.
     wall_used: Duration,
     slices: u32,
@@ -135,6 +133,11 @@ struct Job {
 }
 
 impl Job {
+    /// Simulated cycles completed so far: the last cut's cycle.
+    fn cycles_done(&self) -> u64 {
+        self.snapshot.as_ref().map_or(0, |s| s.cycle())
+    }
+
     /// Rolls the tenant's memory back to `start`: every buffer the image
     /// holds gets its bytes back, and buffers created since keep their ids
     /// and bytes. In-order queues guarantee nothing but this job wrote the
@@ -201,9 +204,8 @@ impl Tenant {
 }
 
 struct State {
-    tenants: HashMap<u32, Tenant>,
-    session_order: Vec<u32>,
-    next_session: u32,
+    /// By session id. Sessions are never removed, so ids are `0..len`.
+    tenants: BTreeMap<u32, Tenant>,
     /// Jobs queued across all tenants (admission bound).
     global_queued: usize,
     shedding: bool,
@@ -256,10 +258,7 @@ struct ServeObs {
 
 impl ServeObs {
     fn new(registry: Option<Arc<Registry>>, trace: Option<Arc<TraceBuf>>) -> ServeObs {
-        let r = match &registry {
-            Some(r) => r.as_ref(),
-            None => soff_obs::global(),
-        };
+        let r = registry.as_deref().unwrap_or_else(|| soff_obs::global());
         let slices = r.counter("soff_serve_slices_total", &[]);
         let preemptions = r.counter("soff_serve_preemptions_total", &[]);
         let queue_depth = r.gauge("soff_serve_queue_depth", &[]);
@@ -269,10 +268,7 @@ impl ServeObs {
     }
 
     fn registry(&self) -> &Registry {
-        match &self.registry {
-            Some(r) => r.as_ref(),
-            None => soff_obs::global(),
-        }
+        self.registry.as_deref().unwrap_or_else(|| soff_obs::global())
     }
 
     /// Lazily-registered per-tenant/per-class rejection counter. Lookup
@@ -331,9 +327,7 @@ impl Server {
         let inner = Arc::new(Inner {
             cfg,
             state: Mutex::new(State {
-                tenants: HashMap::new(),
-                session_order: Vec::new(),
-                next_session: 0,
+                tenants: BTreeMap::new(),
                 global_queued: 0,
                 shedding: false,
                 shutdown: false,
@@ -390,25 +384,13 @@ impl Server {
         if st.shedding {
             return Err(ServeError::Shedding);
         }
-        let id = st.next_session;
-        st.next_session += 1;
+        let id = st.tenants.len() as u32;
+        let r = self.inner.obs.registry();
         let obs = TenantObs {
             label: Arc::from(name),
-            queue_wait_us: self
-                .inner
-                .obs
-                .registry()
-                .histogram("soff_serve_queue_wait_us", &[("tenant", name)]),
-            slice_us: self
-                .inner
-                .obs
-                .registry()
-                .histogram("soff_serve_slice_us", &[("tenant", name)]),
-            breaker_state: self
-                .inner
-                .obs
-                .registry()
-                .gauge("soff_serve_breaker_state", &[("tenant", name)]),
+            queue_wait_us: r.histogram("soff_serve_queue_wait_us", &[("tenant", name)]),
+            slice_us: r.histogram("soff_serve_slice_us", &[("tenant", name)]),
+            breaker_state: r.gauge("soff_serve_breaker_state", &[("tenant", name)]),
         };
         st.tenants.insert(
             id,
@@ -426,7 +408,6 @@ impl Server {
                 obs,
             },
         );
-        st.session_order.push(id);
         Ok(Session { inner: Arc::clone(&self.inner), id })
     }
 
@@ -458,8 +439,7 @@ impl Server {
                 causes.push(HealthCause::StoreDegraded { error });
             }
         }
-        for id in &st.session_order {
-            let Some(t) = st.tenants.get(id) else { continue };
+        for t in st.tenants.values() {
             match t.breaker.state() {
                 BreakerState::Closed => {}
                 BreakerState::Open => {
@@ -499,12 +479,7 @@ impl Server {
     pub fn stats(&self) -> ServerStats {
         let st = lock(&self.inner.state);
         ServerStats {
-            tenants: st
-                .session_order
-                .iter()
-                .filter_map(|id| st.tenants.get(id))
-                .map(|t| t.stats.clone())
-                .collect(),
+            tenants: st.tenants.values().map(|t| t.stats.clone()).collect(),
             slices: st.slices,
             preemptions: st.preemptions,
         }

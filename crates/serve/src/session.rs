@@ -251,7 +251,6 @@ impl Session {
                         nd,
                         snapshot: None,
                         machine: None,
-                        cycles_done: 0,
                         wall_used: Duration::ZERO,
                         slices: 0,
                         attempts: 0,

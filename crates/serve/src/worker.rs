@@ -17,10 +17,8 @@ use std::time::{Duration, Instant};
 /// How a slice ended (computed off-lock by a worker).
 enum SliceOutcome {
     Done(soff_sim::SimResult),
-    Preempted {
-        cycle: u64,
-        snapshot: Box<Snapshot>,
-    },
+    /// Cut at the slice's deadline; the snapshot's cycle is the cut's.
+    Preempted(Box<Snapshot>),
     Cancelled {
         cycle: u64,
     },
@@ -52,7 +50,7 @@ pub(crate) fn worker_loop(inner: &Inner) {
                 tenant.obs.queue_wait_us.record(wait_us);
                 if let Some(tr) = &inner.obs.trace {
                     tr.end("queue", corr, &tenant.obs.label, wait_us);
-                    tr.begin("slice", corr, &tenant.obs.label, job.cycles_done);
+                    tr.begin("slice", corr, &tenant.obs.label, job.cycles_done());
                 }
                 let mut ctx = tenant.ctx.take().expect("ctx resident when not on worker");
                 let slice_idx = st.slices;
@@ -69,9 +67,9 @@ pub(crate) fn worker_loop(inner: &Inner) {
                 settle(inner, &mut st, sid, seq, job, ctx, outcome, slice_us);
             }
             None => {
-                let all_drained = st.global_queued == 0
-                    && st.tenants.values().all(|t| t.ctx.is_some());
-                if st.shutdown && all_drained {
+                // A job counts in `global_queued` until it settles, so zero
+                // also means no slice is running.
+                if st.shutdown && st.global_queued == 0 {
                     inner.work_ready.notify_all();
                     return;
                 }
@@ -142,9 +140,9 @@ fn run_slice(cfg: &ServerConfig, ctx: &mut Context, job: &mut Job, doomed: bool)
     let slice_end = if doomed {
         // The slot dies halfway through: partial progress that the
         // SlotDied settle path must fully discard.
-        job.cycles_done + (cfg.slice_cycles / 2).max(1)
+        job.cycles_done() + (cfg.slice_cycles / 2).max(1)
     } else {
-        job.cycles_done + cfg.slice_cycles.max(1)
+        job.cycles_done() + cfg.slice_cycles.max(1)
     };
     let mut ctl = RunControl::unlimited();
     ctl.cycle_deadline = Some(slice_end);
@@ -188,9 +186,7 @@ fn run_slice(cfg: &ServerConfig, ctx: &mut Context, job: &mut Job, doomed: bool)
             retryable: true,
         },
         Ok(Ok(sim)) => SliceOutcome::Done(sim),
-        Ok(Err(SimError::DeadlineExceeded { cycle, snapshot })) => {
-            SliceOutcome::Preempted { cycle, snapshot }
-        }
+        Ok(Err(SimError::DeadlineExceeded { snapshot, .. })) => SliceOutcome::Preempted(snapshot),
         Ok(Err(SimError::Cancelled { cycle, .. })) => SliceOutcome::Cancelled { cycle },
         Ok(Err(SimError::Timeout { cycle, .. })) => SliceOutcome::Failed {
             error: ServeError::Hung { cycle },
@@ -241,16 +237,16 @@ fn settle(
     // the slice ended (consumed device time is consumed).
     let end_cycle = match &outcome {
         SliceOutcome::Done(sim) => sim.cycles,
-        SliceOutcome::Preempted { cycle, .. } => *cycle,
+        SliceOutcome::Preempted(snapshot) => snapshot.cycle(),
         SliceOutcome::Cancelled { cycle } => *cycle,
         SliceOutcome::Failed { cycle, .. } => {
-            cycle.unwrap_or(job.cycles_done + inner.cfg.slice_cycles)
+            cycle.unwrap_or(job.cycles_done() + inner.cfg.slice_cycles)
         }
         // The dead slot's partial slice is the provider's fault, not the
         // tenant's: charge nothing.
-        SliceOutcome::SlotDied => job.cycles_done,
+        SliceOutcome::SlotDied => job.cycles_done(),
     };
-    tenant.stats.cycles += end_cycle.saturating_sub(job.cycles_done);
+    tenant.stats.cycles += end_cycle.saturating_sub(job.cycles_done());
     if let Some(tr) = &inner.obs.trace {
         tr.end("slice", corr, &tenant.obs.label, end_cycle);
     }
@@ -287,17 +283,17 @@ fn settle(
             }))
         }
         SliceOutcome::Cancelled { .. } => Next::Finished(Err(ServeError::Cancelled)),
-        SliceOutcome::Preempted { cycle, snapshot } => {
+        SliceOutcome::Preempted(snapshot) => {
             state.preemptions += 1;
             inner.obs.preemptions.inc();
-            job.cycles_done = cycle;
+            let cycle = snapshot.cycle();
             job.snapshot = Some(snapshot);
             // Slice-boundary quota checks.
             let q = &tenant.quota;
-            if job.cycles_done >= q.max_job_cycles {
+            if cycle >= q.max_job_cycles {
                 Next::Finished(Err(ServeError::QuotaExceeded {
                     what: QuotaKind::JobCycles,
-                    used: job.cycles_done,
+                    used: cycle,
                     limit: q.max_job_cycles,
                 }))
             } else if let Some(total) =
@@ -332,7 +328,6 @@ fn settle(
                 tenant.stats.retries += 1;
                 inner.obs.recovery("retry").inc();
                 job.snapshot = None;
-                job.cycles_done = 0;
                 job.faults = FaultPlan::none();
                 job.panics_left = job.panics_left.saturating_sub(1);
                 job.not_before = Some(
@@ -354,7 +349,7 @@ fn settle(
             if job.slot_recoveries > inner.cfg.supervision.max_slot_recoveries {
                 // Slots keep dying under this job; stop re-admitting it.
                 Next::Finished(Err(ServeError::Faulted {
-                    cycle: job.cycles_done,
+                    cycle: job.cycles_done(),
                     what: format!("device slot died {} times under job", job.slot_recoveries),
                 }))
             } else {
@@ -385,7 +380,7 @@ fn settle(
         Next::Requeue => {
             job.queued_at = Instant::now();
             if let Some(tr) = &inner.obs.trace {
-                tr.begin("queue", corr, &tenant.obs.label, job.cycles_done);
+                tr.begin("queue", corr, &tenant.obs.label, job.cycles_done());
             }
             tenant.queue.push_front(seq);
             tenant.jobs.insert(seq, JobState::Queued(job));
