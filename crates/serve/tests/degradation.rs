@@ -435,10 +435,10 @@ fn closed_session_and_shutdown_reject_typed() {
 //
 // A job that does not complete leaves its tenant's memory as it found
 // it. With 10 iterations per item, the jobs below have written back
-// thousands of floats by cycle 1 000 and run for tens of thousands of
-// cycles.
+// thousands of floats by cycle 1 000 and run for about 260 000 cycles,
+// so a cancel lands long before they could finish.
 
-const WIDE: usize = 65536;
+const WIDE: usize = 1 << 18;
 
 /// A `bump` launch over `WIDE` floats, its buffer, and the buffer's bytes
 /// read back before anything is enqueued.
