@@ -36,17 +36,6 @@ use soff_workloads::AppResult;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-/// The study's journal identity: FNV-1a over the ordered variant keys
-/// (a journal from a different variant list must read as stale).
-fn study_identity(keys: &[&str]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in keys.join("\n").as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// A variant's journal record: the cycle count rides in the standard
 /// sweep-record shape (`fw` marks it as an ablation row).
 fn variant_record(name: &str, cycles: u64) -> Record {
@@ -205,31 +194,26 @@ fn main() {
 
     // Crash recovery: replay a resume journal (variants it holds are not
     // re-simulated) and append each fresh completion durably, in-worker.
+    // The study's identity is FNV-1a over the ordered variant keys, so a
+    // journal from a different variant list reads as stale.
     let barrier_keys = ["uniform-loop-on", "uniform-loop-off"];
     let keys: Vec<&str> =
         all.iter().map(|v| v.name).chain(barrier_keys.iter().copied()).collect();
-    let identity = study_identity(&keys);
+    let identity = journal::fnv1a(keys.join("\n").as_bytes());
     let mut replayed: HashMap<String, u64> = HashMap::new();
     let journal = match &resume {
-        Some(path) => {
-            let opened = if path.exists() {
-                journal::replay(path, identity).and_then(|records| {
-                    for r in records {
-                        replayed.insert(r.app, r.result.cycles);
-                    }
-                    Journal::append_to(path)
-                })
-            } else {
-                Journal::create(path, identity)
-            };
-            match opened {
-                Ok(j) => Some(j),
-                Err(e) => {
-                    eprintln!("cannot resume: {e}");
-                    std::process::exit(1);
-                }
+        // `recover` also truncates a torn tail, so the next append starts
+        // on a fresh line, and creates a missing journal.
+        Some(path) => match Journal::recover(path, identity) {
+            Ok((records, j)) => {
+                replayed.extend(records.into_iter().map(|r| (r.app, r.result.cycles)));
+                Some(j)
             }
-        }
+            Err(e) => {
+                eprintln!("cannot resume: {e}");
+                std::process::exit(1);
+            }
+        },
         None => None,
     };
     let append_error: Mutex<Option<JournalError>> = Mutex::new(None);
@@ -269,7 +253,6 @@ fn main() {
             Err(soff_exec::TaskError::Panicked { message }) => {
                 Err(format!("variant panicked: {message}"))
             }
-            Err(soff_exec::TaskError::Cancelled) => Err("variant cancelled".to_string()),
         };
     }
     let rest = measured.split_off(1);

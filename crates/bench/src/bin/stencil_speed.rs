@@ -105,11 +105,6 @@ fn main() {
                 failed = true;
                 continue;
             }
-            Err(soff_exec::TaskError::Cancelled) => {
-                println!("{:<16} failed: cancelled", app.name);
-                failed = true;
-                continue;
-            }
         };
         let (off, on) = match (off, on) {
             (Ok(off), Ok(on)) => (off, on),

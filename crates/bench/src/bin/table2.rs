@@ -17,8 +17,8 @@
 
 use soff_baseline::{Framework, Outcome};
 use soff_bench::json::{write_bench_rows, Json};
-use soff_bench::{jobs_flag, paper, resume_flag, sweep_options};
-use soff_workloads::sweep::{digest_fingerprint, run_suite_resumable};
+use soff_bench::{jobs_flag, paper, resume_flag};
+use soff_workloads::sweep::{digest_fingerprint, grid, run_cells, SweepOptions};
 use soff_workloads::{all_apps, data::Scale, Suite};
 
 fn main() {
@@ -45,10 +45,9 @@ fn main() {
     // Fan the whole app × framework grid across the pool; rows come back in
     // app-major input order, so printing stays a straight walk.
     let fws = [Framework::IntelLike, Framework::XilinxLike, Framework::Soff];
-    let mut opts = sweep_options(jobs);
-    opts.journal = resume;
-    let grid = match run_suite_resumable(&apps, &fws, scale, &opts) {
-        Ok(grid) => grid,
+    let opts = SweepOptions { jobs, journal: resume };
+    let results = match run_cells(&grid(&apps, &fws, scale), &opts) {
+        Ok(results) => results,
         // Typed journal failures (stale, corrupt, unwritable) — never a
         // panic, never a silently mixed resume.
         Err(e) => {
@@ -56,7 +55,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    for (app, row) in apps.iter().zip(grid.chunks(fws.len())) {
+    for (app, row) in apps.iter().zip(results.chunks(fws.len())) {
         let intel = row[0].result.outcome;
         let xilinx = row[1].result.outcome;
         let soff = row[2].result.outcome;
@@ -115,27 +114,20 @@ fn main() {
          H hang, IR insufficient FPGA resources."
     );
 
-    let resumed = grid.iter().filter(|c| c.from_journal).count();
-    let retried = grid.iter().filter(|c| c.attempts > 1).count();
-    let cancelled = grid.iter().filter(|c| c.cancelled).count();
-    let partial = cancelled > 0;
+    let resumed = results.iter().filter(|c| c.from_journal).count();
     if resumed > 0 {
-        println!("resumed: {resumed} of {} cells replayed from the journal", grid.len());
+        println!("resumed: {resumed} of {} cells replayed from the journal", results.len());
     }
     if want_digest {
-        println!("sweep digest: {:016x}", digest_fingerprint(&grid));
+        println!("sweep digest: {:016x}", digest_fingerprint(&results));
     }
 
     if json {
-        // The audit trailer: enough to tell a resumed run from a fresh
-        // one (and a partial, cancelled run from a complete one).
+        // The audit trailer: enough to tell a resumed run from a fresh one.
         let cache = soff_runtime::cache::stats();
         jrows.push(Json::obj(vec![
-            ("partial", Json::Bool(partial)),
-            ("cancelled_cells", Json::Int(cancelled as i64)),
             ("resumed_cells", Json::Int(resumed as i64)),
-            ("retried_cells", Json::Int(retried as i64)),
-            ("digest", Json::str(format!("{:016x}", digest_fingerprint(&grid)))),
+            ("digest", Json::str(format!("{:016x}", digest_fingerprint(&results)))),
             ("frontend_hits", Json::Int(cache.frontend_hits as i64)),
             ("frontend_misses", Json::Int(cache.frontend_misses as i64)),
             ("program_hits", Json::Int(cache.program_hits as i64)),

@@ -8,7 +8,7 @@
 
 use soff_baseline::Framework;
 use soff_workloads::journal::JournalError;
-use soff_workloads::sweep::{run_cells_resumable, Cell, SweepOptions};
+use soff_workloads::sweep::{run_cells, Cell, SweepOptions};
 use soff_workloads::{all_apps, data::Scale, App, AppResult};
 
 pub mod json;
@@ -69,18 +69,6 @@ pub fn resume_flag(args: &[String]) -> Option<std::path::PathBuf> {
     })
 }
 
-/// The sweep options implied by a `--jobs` value: parallel runs may
-/// memoize identical cells (results are bit-identical either way — the
-/// differential tests hold the engine to that); `--jobs 1` keeps the
-/// plain sequential loop, duplicates and all.
-pub fn sweep_options(jobs: usize) -> SweepOptions {
-    if jobs <= 1 {
-        SweepOptions::sequential()
-    } else {
-        SweepOptions { jobs, dedup: true, ..SweepOptions::default() }
-    }
-}
-
 /// Geometric mean of positive values; `None` for an empty slice (the
 /// caller decides how to report "no overlapping apps" — a silent NaN
 /// propagates into every downstream summary).
@@ -121,20 +109,10 @@ pub fn fig11_apps() -> Vec<App> {
 /// Runs as two parallel waves on `jobs` workers: all SOFF cells first,
 /// then the baseline cells of the apps SOFF completed (preserving the
 /// historical behaviour of never simulating a baseline whose SOFF side
-/// already failed).
-pub fn speedups_vs(
-    baseline: Framework,
-    scale: Scale,
-    jobs: usize,
-) -> Vec<(&'static str, f64, AppResult, AppResult)> {
-    speedups_vs_resumable(baseline, scale, jobs, None)
-        .expect("a journal-free sweep cannot fail")
-}
-
-/// [`speedups_vs`] with crash recovery: with a journal path, each wave
-/// journals to its own derived file (`<path>.soff` / `<path>.base` — the
-/// two waves run different cell sets, hence different sweep identities)
-/// and a killed run resumes from whatever the files already hold.
+/// already failed). With a journal path, each wave journals to its own
+/// derived file (`<path>.soff` / `<path>.base` — the two waves run
+/// different cell sets, hence different sweep identities) and a killed
+/// run resumes from whatever the files already hold.
 ///
 /// # Errors
 ///
@@ -146,11 +124,9 @@ pub fn speedups_vs_resumable(
     jobs: usize,
     journal: Option<&std::path::Path>,
 ) -> Result<Vec<(&'static str, f64, AppResult, AppResult)>, JournalError> {
-    let wave_opts = |suffix: &str| {
-        let mut opts = sweep_options(jobs);
-        opts.journal =
-            journal.map(|p| std::path::PathBuf::from(format!("{}.{suffix}", p.display())));
-        opts
+    let wave_opts = |suffix: &str| SweepOptions {
+        jobs,
+        journal: journal.map(|p| std::path::PathBuf::from(format!("{}.{suffix}", p.display()))),
     };
     // Paper-figure sweeps stay on the paper's 34 apps; the stencil suite
     // has its own harness (`stencil_speed`).
@@ -160,14 +136,14 @@ pub fn speedups_vs_resumable(
         .collect();
     let soff_cells: Vec<Cell> =
         apps.iter().map(|a| Cell::new(*a, Framework::Soff, scale)).collect();
-    let soff = run_cells_resumable(&soff_cells, &wave_opts("soff"))?;
+    let soff = run_cells(&soff_cells, &wave_opts("soff"))?;
 
     let runnable: Vec<usize> = (0..apps.len())
         .filter(|&i| soff[i].result.outcome == soff_baseline::Outcome::Ok)
         .collect();
     let base_cells: Vec<Cell> =
         runnable.iter().map(|&i| Cell::new(apps[i], baseline, scale)).collect();
-    let base = run_cells_resumable(&base_cells, &wave_opts("base"))?;
+    let base = run_cells(&base_cells, &wave_opts("base"))?;
 
     Ok(runnable
         .iter()
@@ -207,16 +183,6 @@ pub fn fmt_ratio(x: f64) -> String {
     } else {
         format!("{x:7.2}")
     }
-}
-
-/// Aggregated per-framework simulation counters over a run (hit ratios,
-/// stall breakdown) — printed by `fig11 --verbose` style analyses and
-/// reused by tests.
-pub fn summarize(result: &AppResult) -> String {
-    format!(
-        "{} cycles over {} launches ({} instances)",
-        result.cycles, result.launches, result.replication
-    )
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! |---|---|---|
 //! | [`frontend`] | §II-B, §III-C2 | OpenCL C preprocessor, lexer, parser, sema |
 //! | [`ir`] | §III-C2 | SSA IR, inlining, liveness, pointer analysis, DFGs, control tree, interpreter |
-//! | [`ilp`] | §IV-C | exact ILP solver for FIFO balancing |
+//! | [`ilp`] | §IV-C | exact LP solver for FIFO balancing |
 //! | [`datapath`] | §IV | functional units, basic pipelines, glue, deadlock bounds, resource model |
 //! | [`mem`] | §V | caches, DRAM, arbiters, local memory blocks, private memory |
 //! | [`sim`] | §III-B | cycle-level simulator of the reconfigurable region |

@@ -1,8 +1,7 @@
 //! # soff-exec
 //!
 //! The execution layer of the SOFF benchmark sweeps: a dependency-free
-//! scoped thread pool with work-stealing deques ([`deque`]) and
-//! per-task panic isolation.
+//! scoped thread pool with per-task panic isolation.
 //!
 //! Benchmark sweeps (Table II, Fig. 11/12, ablations) are
 //! embarrassingly parallel grids of *independent* simulations — each
@@ -11,7 +10,10 @@
 //! multiplying throughput by core count. [`run_tasks`] is the one
 //! entry point: it takes an ordered work list, executes it on `jobs`
 //! workers, and returns results **in input order**, so callers are
-//! oblivious to scheduling.
+//! oblivious to scheduling. Each worker claims the next input index
+//! from one shared cursor and writes that index's result slot; no
+//! queue is dealt up front, so a slow task never strands work behind
+//! it.
 //!
 //! Two properties the sweep drivers rely on:
 //!
@@ -25,6 +27,9 @@
 //!   produces one failure row, not a torn-down sweep (composing with
 //!   the hang/fault tolerance of the workload harness).
 //!
+//! The crate also holds [`RetryPolicy`], the bounded, deterministically
+//! jittered backoff schedule the serve layer retries faulted jobs with.
+//!
 //! ## Example
 //!
 //! ```
@@ -33,16 +38,13 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
-pub mod deque;
-
 use std::any::Any;
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
+use std::time::Instant;
 
 /// Why a task produced no result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,16 +54,12 @@ pub enum TaskError {
         /// The panic payload rendered as text.
         message: String,
     },
-    /// The pool-wide [`CancelFlag`] was raised before this task started
-    /// (or between its retry attempts); the task never produced a value.
-    Cancelled,
 }
 
 impl fmt::Display for TaskError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TaskError::Panicked { message } => write!(f, "task panicked: {message}"),
-            TaskError::Cancelled => write!(f, "task cancelled before it ran"),
         }
     }
 }
@@ -87,35 +85,21 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Pool metrics, registered once on the global `soff-obs` registry:
-/// successful steals (how often the round-robin deal was unbalanced
-/// enough for idle workers to poach) and per-task queue latency (push
-/// into a deque → dequeued for execution, in microseconds — the direct
-/// measure of pool backlog).
-struct PoolMetrics {
-    steals: soff_obs::Counter,
-    task_wait_us: soff_obs::Histogram,
-}
-
-fn pool_metrics() -> &'static PoolMetrics {
-    static METRICS: std::sync::OnceLock<PoolMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = soff_obs::global();
-        PoolMetrics {
-            steals: r.counter("soff_exec_steals_total", &[]),
-            task_wait_us: r.histogram("soff_exec_task_wait_us", &[]),
-        }
-    })
+/// Per-task queue latency (pool start → claimed by a worker, in
+/// microseconds — the direct measure of pool backlog), registered once
+/// on the global `soff-obs` registry.
+fn task_wait_us() -> &'static soff_obs::Histogram {
+    static HIST: OnceLock<soff_obs::Histogram> = OnceLock::new();
+    HIST.get_or_init(|| soff_obs::global().histogram("soff_exec_task_wait_us", &[]))
 }
 
 /// Executes `f(index, item)` for every item on a pool of `jobs`
 /// workers and returns the results **in input order**.
 ///
-/// Items are dealt round-robin onto per-worker deques; an idle worker
-/// first drains its own deque (LIFO), then steals the oldest task from
-/// a sibling (FIFO). Because the work list is fixed up front, "all
-/// deques empty" is a sound termination condition — no task can appear
-/// after a worker observes emptiness and exits.
+/// Each worker repeatedly claims the next unclaimed input index from a
+/// shared atomic cursor, runs it, and stores the result in that index's
+/// slot; a worker that finds the cursor past the end exits. The work
+/// list is fixed up front, so every index is claimed exactly once.
 ///
 /// A panicking task yields `Err(TaskError::Panicked)` in its slot;
 /// all other slots are unaffected. With `jobs <= 1` (or fewer than two
@@ -128,57 +112,55 @@ where
     T: Send,
     F: Fn(usize, I) -> T + Sync,
 {
-    // `run_tasks_ctl` lends items by reference; a take-once slot hands each
-    // task its item by value (no retries, so every slot is taken once).
-    let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    let take = |index: usize, slot: &Mutex<Option<I>>, _: &TaskCtx| {
-        let item = slot.lock().unwrap_or_else(|e| e.into_inner()).take();
-        f(index, item.expect("each task runs once"))
+    let run_one = |index: usize, item: I| {
+        catch_unwind(AssertUnwindSafe(|| f(index, item)))
+            .map_err(|p| TaskError::Panicked { message: panic_message(p.as_ref()) })
     };
-    run_tasks_ctl(jobs, &slots, &TaskOptions::default(), take, |_| false)
+    let n = items.len();
+    if jobs <= 1 || n <= 1 {
+        return items.into_iter().enumerate().map(|(i, item)| run_one(i, item)).collect();
+    }
+    // No lock below is held across a task, so none can be poisoned. The
+    // cursor only hands out indices (the slot mutexes and the scope's join
+    // publish the data), so `Relaxed` suffices for it.
+    let inputs: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    let outputs: Vec<Mutex<Option<Result<T, TaskError>>>> =
+        (0..n).map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    let pool_start = Instant::now();
+    std::thread::scope(|scope| {
+        for _ in 0..jobs.min(n) {
+            scope.spawn(|| loop {
+                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                if index >= n {
+                    break;
+                }
+                task_wait_us().record(pool_start.elapsed().as_micros() as u64);
+                let item = inputs[index].lock().unwrap_or_else(PoisonError::into_inner).take();
+                let result = run_one(index, item.expect("each index is claimed once"));
+                *outputs[index].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+            });
+        }
+    });
+    outputs
         .into_iter()
-        .map(|r| r.map(|c| c.value))
+        .map(|slot| {
+            let result = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
+            result.expect("scope joined all workers, every index ran")
+        })
         .collect()
 }
 
-/// A cloneable, thread-safe, one-way pool-wide cancellation flag.
-///
-/// The sweep driver keeps one clone and hands another to
-/// [`TaskOptions::cancel`]; raising it makes every not-yet-started task
-/// come back as `Err(`[`TaskError::Cancelled`]`)` while tasks already
-/// running finish normally (they can poll the flag through their
-/// [`TaskCtx`] to stop early and cooperatively).
-#[derive(Debug, Clone, Default)]
-pub struct CancelFlag {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelFlag {
-    /// A fresh, un-raised flag.
-    pub fn new() -> CancelFlag {
-        CancelFlag::default()
-    }
-
-    /// Requests cancellation (idempotent).
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
-}
-
 /// Bounded exponential backoff with deterministic, seeded jitter, for
-/// retrying tasks that fail *transiently* (e.g. a sweep cell wedged by an
-/// injected fault window that a later attempt dodges).
+/// retrying work that fails *transiently* (the serve layer retries a
+/// job whose slice faulted, e.g. on an injected hardware fault a later
+/// attempt dodges).
 ///
 /// The delay before retry `attempt` (1-based: the wait after the
 /// `attempt`-th failure) is `base_delay_ms · 2^(attempt-1)`, capped at
 /// `max_delay_ms`, with the top half of the interval replaced by jitter
 /// derived from `(seed, task index, attempt)` — fully deterministic, so
-/// two runs of the same sweep retry on the identical schedule.
+/// two runs retry on the identical schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per task (1 = no retries). `0` is treated as `1`.
@@ -223,168 +205,13 @@ impl RetryPolicy {
     }
 }
 
-/// Budgets and cancellation for [`run_tasks_ctl`]. The default is
-/// unlimited and retry-free — exactly [`run_tasks`] semantics.
-#[derive(Debug, Clone, Default)]
-pub struct TaskOptions {
-    /// Pool-wide cancellation (`None` = not cancellable).
-    pub cancel: Option<CancelFlag>,
-    /// Per-task wall-clock budget, measured from the task's first
-    /// attempt; it bounds retries (no retry starts past the deadline) and
-    /// is surfaced to the task via [`TaskCtx::deadline`] so cooperative
-    /// tasks can stop themselves in time.
-    pub task_deadline: Option<Duration>,
-    /// Retry transiently-failing tasks (`None` = single attempt).
-    pub retry: Option<RetryPolicy>,
-}
-
-/// Per-attempt context handed to a [`run_tasks_ctl`] task.
-#[derive(Debug, Clone)]
-pub struct TaskCtx {
-    /// 1-based attempt number (1 = first try).
-    pub attempt: u32,
-    /// The pool-wide cancellation flag, if one was set.
-    pub cancel: Option<CancelFlag>,
-    /// This task's wall-clock deadline, if one was set.
-    pub deadline: Option<Instant>,
-}
-
-impl TaskCtx {
-    /// Whether the pool has been cancelled (cooperative tasks poll this).
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(CancelFlag::is_cancelled)
-    }
-
-    /// Wall-clock budget left before this task's deadline (`None` = no
-    /// deadline; zero = already past it).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline.map(|d| d.saturating_duration_since(Instant::now()))
-    }
-}
-
-/// A task value plus how many attempts it took to produce.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Completed<T> {
-    /// The task's (final) return value.
-    pub value: T,
-    /// 1-based attempt count (1 = succeeded first try).
-    pub attempts: u32,
-}
-
-/// [`run_tasks`] with budgets: pool-wide cancellation, per-task
-/// deadlines, and bounded deterministic retry.
-///
-/// Items are taken by reference (they must survive retries), and every
-/// attempt receives a [`TaskCtx`] describing its attempt number, the
-/// cancel flag, and the deadline. After each attempt, `transient(&value)`
-/// decides whether the value is a transient failure worth retrying;
-/// retries follow the [`RetryPolicy`] backoff schedule and never start
-/// past the deadline or after cancellation. Panics are *not* retried —
-/// they are bugs, not transient conditions — and come back as
-/// [`TaskError::Panicked`] exactly as in [`run_tasks`].
-///
-/// Results return **in input order**; `jobs <= 1` (or fewer than two
-/// items) runs sequentially on the calling thread.
-pub fn run_tasks_ctl<I, T, F, R>(
-    jobs: usize,
-    items: &[I],
-    opts: &TaskOptions,
-    f: F,
-    transient: R,
-) -> Vec<Result<Completed<T>, TaskError>>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I, &TaskCtx) -> T + Sync,
-    R: Fn(&T) -> bool + Sync,
-{
-    let n = items.len();
-    let cancelled = || opts.cancel.as_ref().is_some_and(CancelFlag::is_cancelled);
-    let exec_one = |index: usize| -> Result<Completed<T>, TaskError> {
-        if cancelled() {
-            return Err(TaskError::Cancelled);
-        }
-        let deadline = opts.task_deadline.map(|d| Instant::now() + d);
-        let max_attempts = opts.retry.map_or(1, |r| r.max_attempts.max(1));
-        let mut attempt = 1u32;
-        loop {
-            let ctx = TaskCtx { attempt, cancel: opts.cancel.clone(), deadline };
-            let value = catch_unwind(AssertUnwindSafe(|| f(index, &items[index], &ctx)))
-                .map_err(|p| TaskError::Panicked { message: panic_message(p.as_ref()) })?;
-            let retryable = attempt < max_attempts
-                && transient(&value)
-                && !cancelled()
-                && deadline.is_none_or(|d| Instant::now() < d);
-            if !retryable {
-                return Ok(Completed { value, attempts: attempt });
-            }
-            let policy = opts.retry.expect("retryable implies a policy");
-            let mut pause = Duration::from_millis(policy.backoff_ms(index, attempt));
-            if let Some(d) = deadline {
-                pause = pause.min(d.saturating_duration_since(Instant::now()));
-            }
-            if !pause.is_zero() {
-                std::thread::sleep(pause);
-            }
-            attempt += 1;
-        }
-    };
-
-    if jobs <= 1 || n <= 1 {
-        return (0..n).map(exec_one).collect();
-    }
-    let jobs = jobs.min(n);
-    let workers: Vec<deque::Worker<usize>> = (0..jobs).map(|_| deque::Worker::new()).collect();
-    let stealers: Vec<deque::Stealer<usize>> = workers.iter().map(|w| w.stealer()).collect();
-    for i in 0..n {
-        workers[i % jobs].push(i);
-    }
-    let (tx, rx) = mpsc::channel::<(usize, Result<Completed<T>, TaskError>)>();
-    let metrics = pool_metrics();
-    let pool_start = Instant::now();
-    std::thread::scope(|scope| {
-        for (wid, worker) in workers.into_iter().enumerate() {
-            let tx = tx.clone();
-            let (exec_one, stealers) = (&exec_one, &stealers);
-            scope.spawn(move || loop {
-                let next = worker.pop().or_else(|| {
-                    (1..stealers.len()).find_map(|off| {
-                        match stealers[(wid + off) % stealers.len()].steal() {
-                            deque::Steal::Success(i) => {
-                                metrics.steals.inc();
-                                Some(i)
-                            }
-                            deque::Steal::Empty => None,
-                        }
-                    })
-                });
-                let Some(index) = next else { break };
-                metrics.task_wait_us.record(pool_start.elapsed().as_micros() as u64);
-                // The receiver outlives the scope; send cannot fail.
-                let _ = tx.send((index, exec_one(index)));
-            });
-        }
-        drop(tx); // workers hold the remaining clones
-    });
-    let mut out: Vec<Option<Result<Completed<T>, TaskError>>> = (0..n).map(|_| None).collect();
-    for (index, result) in rx {
-        out[index] = Some(result);
-    }
-    out.into_iter()
-        .map(|slot| slot.expect("scope joined all workers, every task reported"))
-        .collect()
-}
-
-// Compile-time audit: sweep cells and their results cross thread
-// boundaries, so the error type must be freely shareable, and the
-// resilience knobs are shared by reference across workers.
+// Compile-time audit: sweep results cross thread boundaries, so the
+// error type must be freely shareable, and the serve layer shares its
+// retry policy across workers by reference.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<TaskError>();
-    assert_send_sync::<CancelFlag>();
-    assert_send_sync::<TaskOptions>();
     assert_send_sync::<RetryPolicy>();
-    assert_send_sync::<Completed<u64>>();
 };
 
 #[cfg(test)]
@@ -438,6 +265,21 @@ mod tests {
     }
 
     #[test]
+    fn panics_are_not_retried() {
+        for jobs in [1, 4] {
+            let tries = AtomicUsize::new(0);
+            let results = run_tasks(jobs, vec![(); 6], |i, ()| {
+                tries.fetch_add(1, Ordering::Relaxed);
+                if i % 2 == 0 {
+                    panic!("boom {i}");
+                }
+            });
+            assert_eq!(tries.load(Ordering::Relaxed), 6, "jobs={jobs}: each task runs once");
+            assert_eq!(results.iter().filter(|r| r.is_err()).count(), 3, "jobs={jobs}");
+        }
+    }
+
+    #[test]
     fn sequential_mode_spawns_no_threads() {
         // Observable proxy: the closure always runs on the caller's thread.
         let caller = std::thread::current().id();
@@ -456,98 +298,6 @@ mod tests {
     fn empty_work_list_is_fine() {
         let results = run_tasks(4, Vec::<u8>::new(), |_, n| n);
         assert!(results.is_empty());
-    }
-
-    #[test]
-    fn ctl_defaults_match_run_tasks_semantics() {
-        for jobs in [1, 4] {
-            let items: Vec<usize> = (0..23).collect();
-            let results = run_tasks_ctl(
-                jobs,
-                &items,
-                &TaskOptions::default(),
-                |i, item, ctx| {
-                    assert_eq!(i, *item);
-                    assert_eq!(ctx.attempt, 1);
-                    item * 3
-                },
-                |_| false,
-            );
-            let got: Vec<usize> =
-                results.into_iter().map(|r| r.unwrap()).map(|c| c.value).collect();
-            assert_eq!(got, (0..23).map(|i| i * 3).collect::<Vec<_>>(), "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn cancelled_pool_reports_typed_errors_for_unstarted_tasks() {
-        let flag = CancelFlag::new();
-        flag.cancel();
-        let opts = TaskOptions { cancel: Some(flag), ..TaskOptions::default() };
-        let results = run_tasks_ctl(4, &[1u32, 2, 3], &opts, |_, n, _| n * 2, |_| false);
-        assert!(results.iter().all(|r| matches!(r, Err(TaskError::Cancelled))));
-    }
-
-    #[test]
-    fn transient_failures_retry_up_to_the_bound() {
-        // The task returns its attempt number; values below 3 are
-        // "transient", so the pool must retry twice and settle at 3.
-        let opts = TaskOptions {
-            retry: Some(RetryPolicy { max_attempts: 3, base_delay_ms: 0, ..RetryPolicy::default() }),
-            ..TaskOptions::default()
-        };
-        for jobs in [1, 4] {
-            let results =
-                run_tasks_ctl(jobs, &[(); 7], &opts, |_, (), ctx| ctx.attempt, |&a| a < 3);
-            for r in results {
-                let c = r.unwrap();
-                assert_eq!((c.value, c.attempts), (3, 3), "jobs={jobs}");
-            }
-        }
-        // An always-transient value still stops at the bound.
-        let results = run_tasks_ctl(1, &[()], &opts, |_, (), ctx| ctx.attempt, |_| true);
-        assert_eq!(results[0].as_ref().unwrap().attempts, 3);
-    }
-
-    #[test]
-    fn panics_are_not_retried() {
-        let tries = AtomicUsize::new(0);
-        let opts = TaskOptions {
-            retry: Some(RetryPolicy { max_attempts: 5, base_delay_ms: 0, ..RetryPolicy::default() }),
-            ..TaskOptions::default()
-        };
-        let results = run_tasks_ctl(
-            1,
-            &[()],
-            &opts,
-            |_, (), _| {
-                tries.fetch_add(1, Ordering::Relaxed);
-                panic!("boom");
-            },
-            |_: &()| true,
-        );
-        assert!(matches!(&results[0], Err(TaskError::Panicked { .. })));
-        assert_eq!(tries.load(Ordering::Relaxed), 1, "a panic must not be retried");
-    }
-
-    #[test]
-    fn deadline_bounds_retries() {
-        // Transient forever, but the per-task deadline is already tighter
-        // than one backoff pause — the pool must give up after the first
-        // attempt instead of burning the full retry budget.
-        let opts = TaskOptions {
-            task_deadline: Some(Duration::from_millis(0)),
-            retry: Some(RetryPolicy {
-                max_attempts: 50,
-                base_delay_ms: 1000,
-                ..RetryPolicy::default()
-            }),
-            ..TaskOptions::default()
-        };
-        let start = Instant::now();
-        let results = run_tasks_ctl(1, &[()], &opts, |_, (), ctx| ctx.attempt, |_| true);
-        assert_eq!(results[0].as_ref().unwrap().attempts, 1);
-        assert!(start.elapsed() < Duration::from_secs(5));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! ## Who uses what
 //!
 //! `soff_runtime::cache` registers its hit/miss/evict/corrupt counters
-//! on [`metrics::global`]; `soff_exec` counts steals and queue latency
+//! on [`metrics::global`]; `soff_exec` records task queue latency
 //! there too; `soff-serve` takes an optional per-server registry and
 //! trace buffer via its config (defaulting to the global registry) and
 //! instruments the admit → queue → slice → settle path; `serve_soak

@@ -25,11 +25,10 @@
 //! profiling) are deliberately *not* part of the key: they are applied
 //! at enqueue and do not affect compilation.
 //!
-//! Both in-memory layers are **bounded**: each shelf holds at most its
-//! configured capacity ([`set_capacity`], default
-//! [`DEFAULT_CAPACITY`]) and evicts the least-recently-used entry on
-//! overflow, so a long-lived serving process cannot grow without
-//! bound. Evictions are counted in [`CacheStats`].
+//! Both in-memory layers are **bounded**: each shelf holds at most
+//! [`DEFAULT_CAPACITY`] entries and evicts the least-recently-used
+//! entry on overflow, so a long-lived serving process cannot grow
+//! without bound. Evictions are counted in [`CacheStats`].
 //!
 //! When a [`crate::store::DiskStore`] is attached ([`set_disk_store`]), the
 //! cache additionally persists compiles **on disk** so they survive
@@ -75,7 +74,7 @@ pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
 /// The FNV-1a offset basis (initial state).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Default per-layer entry capacity. Far above what one sweep needs
+/// Per-layer entry capacity. Far above what one sweep needs
 /// (34 apps × a handful of define/device combinations) while bounding
 /// a serving process that sees endless distinct sources.
 pub const DEFAULT_CAPACITY: usize = 512;
@@ -136,11 +135,15 @@ struct Shelf<T> {
 }
 
 impl<T: Clone> Shelf<T> {
-    /// A shelf with detached (unregistered) counters — the generic
-    /// tests exercise LRU behavior without touching the global registry.
+    /// A shelf of `capacity` entries with detached (unregistered)
+    /// counters — the generic tests exercise LRU behavior on a small
+    /// shelf without touching the global registry.
     #[cfg(test)]
-    fn new() -> Shelf<T> {
-        Shelf::with_counters(Counter::detached(), Counter::detached(), Counter::detached())
+    fn new(capacity: usize) -> Shelf<T> {
+        let shelf =
+            Shelf::with_counters(Counter::detached(), Counter::detached(), Counter::detached());
+        shelf.lock().capacity = capacity;
+        shelf
     }
 
     fn with_counters(hits: Counter, misses: Counter, evictions: Counter) -> Shelf<T> {
@@ -183,9 +186,6 @@ impl<T: Clone> Shelf<T> {
 
     fn put(&self, key: u64, material: String, value: T) {
         let mut inner = self.lock();
-        if inner.capacity == 0 {
-            return;
-        }
         inner.tick += 1;
         let tick = inner.tick;
         let bucket = inner.map.entry(key).or_default();
@@ -204,25 +204,6 @@ impl<T: Clone> Shelf<T> {
         if evicted > 0 {
             self.evictions.add(evicted);
         }
-    }
-
-    /// Changes the capacity, evicting LRU entries if already over it.
-    fn resize(&self, capacity: usize) {
-        let mut inner = self.lock();
-        inner.capacity = capacity;
-        let mut evicted = 0u64;
-        while inner.len > inner.capacity {
-            evict_lru(&mut inner);
-            evicted += 1;
-        }
-        drop(inner);
-        if evicted > 0 {
-            self.evictions.add(evicted);
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.lock().len
     }
 }
 
@@ -585,18 +566,6 @@ pub fn reset_stats() {
     }
 }
 
-/// Sets the per-layer in-memory capacities, evicting LRU entries if a
-/// layer is already over its new bound. Zero disables a layer.
-pub fn set_capacity(frontend: usize, program: usize) {
-    frontend_shelf().resize(frontend);
-    program_shelf().resize(program);
-}
-
-/// Current entry counts `(frontend, program)` of the in-memory layers.
-pub fn len() -> (usize, usize) {
-    (frontend_shelf().len(), program_shelf().len())
-}
-
 /// Drops every cached in-memory entry (for cold-phase benchmarking and
 /// restart simulation in tests); counters and the disk store are left
 /// alone — pair with [`reset_stats`] / [`set_disk_store`] as needed.
@@ -650,42 +619,17 @@ mod tests {
 
     #[test]
     fn lru_eviction_is_bounded_and_counted() {
-        let shelf: Shelf<u32> = Shelf::new();
-        shelf.resize(3);
+        let shelf: Shelf<u32> = Shelf::new(3);
         for i in 0..3u32 {
             shelf.put(i as u64, format!("m{i}"), i);
         }
         // Touch 0 so 1 becomes the LRU entry.
         assert_eq!(shelf.get(0, "m0"), Some(0));
         shelf.put(99, "m99".to_string(), 99);
-        assert_eq!(shelf.len(), 3);
+        assert_eq!(shelf.lock().len, 3);
         assert_eq!(shelf.evictions.get(), 1);
         assert_eq!(shelf.get(1, "m1"), None, "LRU entry evicted");
         assert_eq!(shelf.get(0, "m0"), Some(0), "recently used entry kept");
         assert_eq!(shelf.get(99, "m99"), Some(99), "new entry kept");
-    }
-
-    #[test]
-    fn resize_below_len_evicts_immediately() {
-        let shelf: Shelf<u32> = Shelf::new();
-        for i in 0..10u32 {
-            shelf.put(i as u64, format!("m{i}"), i);
-        }
-        shelf.resize(4);
-        assert_eq!(shelf.len(), 4);
-        assert_eq!(shelf.evictions.get(), 6);
-        // The four most recently inserted entries survive.
-        for i in 6..10u32 {
-            assert_eq!(shelf.get(i as u64, &format!("m{i}")), Some(i));
-        }
-    }
-
-    #[test]
-    fn zero_capacity_disables_a_shelf() {
-        let shelf: Shelf<u32> = Shelf::new();
-        shelf.resize(0);
-        shelf.put(1, "m".to_string(), 1);
-        assert_eq!(shelf.len(), 0);
-        assert_eq!(shelf.get(1, "m"), None);
     }
 }

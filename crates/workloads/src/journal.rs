@@ -99,7 +99,8 @@ pub struct Record {
     pub result: AppResult,
     /// Whether the pool had to contain a task panic for this cell.
     pub panicked: bool,
-    /// Attempts the cell took under the retry policy.
+    /// Attempts the cell took. Sweeps run each cell once and write 1;
+    /// the field keeps the v1 record at its ten fields.
     pub attempts: u32,
 }
 
@@ -184,7 +185,7 @@ fn outcome_from_code(code: &str) -> Option<Outcome> {
 }
 
 /// FNV-1a (the project-standard content hash).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= u64::from(b);
@@ -269,22 +270,18 @@ impl Journal {
         Ok(Journal { file: Mutex::new(file) })
     }
 
-    /// Opens an existing journal for appending (after a successful
-    /// [`replay`] of it).
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`].
-    pub fn append_to(path: &Path) -> Result<Journal, JournalError> {
+    /// Opens an existing journal for appending; only [`Journal::recover`]
+    /// calls it, after replaying and truncating the file.
+    fn append_to(path: &Path) -> Result<Journal, JournalError> {
         let file = OpenOptions::new().append(true).open(path)?;
         Ok(Journal { file: Mutex::new(file) })
     }
 
     /// Replays an existing journal, **truncates any torn tail**, and
-    /// reopens for appending — the one safe way to resume: a plain
-    /// [`replay`] + [`Journal::append_to`] would append the next record
-    /// onto a torn partial line, merging the two into one unparsable
-    /// line that a *later* resume rejects as mid-file corruption.
+    /// reopens for appending — the one safe way to resume: appending
+    /// after a plain [`replay`] would put the next record onto a torn
+    /// partial line, merging the two into one unparsable line that a
+    /// *later* resume rejects as mid-file corruption.
     ///
     /// A missing file, an empty file, and a torn header all restart the
     /// journal from scratch (header rewritten, no records).

@@ -1,32 +1,32 @@
-//! Differential suite for the parallel sweep engine: the deduplicated
-//! parallel driver must be observationally identical to the plain
-//! sequential loop it replaced — byte-identical canonical JSON over the
-//! PolyBench suite — and the compile cache must stay invisible in the
-//! results while actually being exercised.
+//! Differential suite for the parallel sweep engine: the pooled driver
+//! must be observationally identical to the plain sequential loop it
+//! replaced — byte-identical canonical JSON over the PolyBench suite —
+//! and the compile cache must stay invisible in the results while
+//! actually being exercised.
 
 use soff_baseline::Framework;
 use soff_workloads::data::Scale;
-use soff_workloads::sweep::{digest, run_suite_parallel, SweepOptions};
+use soff_workloads::sweep::{digest, grid, run_cells, CellResult, SweepOptions};
 use soff_workloads::{all_apps, App, Suite};
 
 fn polybench() -> Vec<App> {
     all_apps().into_iter().filter(|a| a.suite == Suite::PolyBench).collect()
 }
 
-/// The satellite requirement verbatim: `run_suite_parallel(jobs=4)` and
-/// the sequential runner produce byte-identical JSON for the PolyBench
-/// suite.
+/// The `apps` × `fws` grid at Small scale on `jobs` workers.
+fn sweep(apps: &[App], fws: &[Framework], jobs: usize) -> Vec<CellResult> {
+    run_cells(&grid(apps, fws, Scale::Small), &SweepOptions { jobs, journal: None })
+        .expect("a journal-free sweep cannot fail")
+}
+
+/// A sweep on 4 workers and the sequential runner produce
+/// byte-identical JSON for the PolyBench suite.
 #[test]
 fn parallel_polybench_sweep_is_byte_identical_to_sequential() {
     let apps = polybench();
     let fws = [Framework::Soff];
-    let seq = run_suite_parallel(&apps, &fws, Scale::Small, &SweepOptions::sequential());
-    let par = run_suite_parallel(
-        &apps,
-        &fws,
-        Scale::Small,
-        &SweepOptions { jobs: 4, dedup: true, ..SweepOptions::default() },
-    );
+    let seq = sweep(&apps, &fws, 1);
+    let par = sweep(&apps, &fws, 4);
     assert_eq!(seq.len(), apps.len());
     let (dseq, dpar) = (digest(&seq), digest(&par));
     assert!(
@@ -45,10 +45,10 @@ fn parallel_polybench_sweep_is_byte_identical_to_sequential() {
 
 /// A repeated-config sweep (the same cells three times — the shape of
 /// re-running fig11/fig12/table2 in one process) over all three
-/// frameworks must also digest identically, with the duplicates memoized
-/// rather than re-executed.
+/// frameworks must also digest identically at 1 and 4 workers, and each
+/// repeat, executed again, must reproduce its first run exactly.
 #[test]
-fn repeated_cells_memoize_without_changing_results() {
+fn repeated_cells_digest_identically_at_one_and_four_jobs() {
     let apps: Vec<App> =
         polybench().into_iter().filter(|a| a.name == "atax" || a.name == "mvt").collect();
     let fws = [Framework::Soff, Framework::XilinxLike, Framework::IntelLike];
@@ -56,16 +56,14 @@ fn repeated_cells_memoize_without_changing_results() {
     tripled.extend(apps.iter().copied());
     tripled.extend(apps.iter().copied());
 
-    let seq = run_suite_parallel(&tripled, &fws, Scale::Small, &SweepOptions::sequential());
-    let par = run_suite_parallel(
-        &tripled,
-        &fws,
-        Scale::Small,
-        &SweepOptions { jobs: 4, dedup: true, ..SweepOptions::default() },
-    );
+    let seq = sweep(&tripled, &fws, 1);
+    let par = sweep(&tripled, &fws, 4);
     assert_eq!(digest(&seq), digest(&par));
 
-    let memoized = par.iter().filter(|c| c.memo_of.is_some()).count();
-    assert_eq!(memoized, 2 * apps.len() * fws.len(), "every repeat shares its original");
-    assert!(seq.iter().all(|c| c.memo_of.is_none()), "sequential mode never memoizes");
+    let pass = apps.len() * fws.len();
+    for (i, c) in par.iter().enumerate().skip(pass) {
+        let first = &par[i % pass];
+        assert_eq!((c.app, c.fw), (first.app, first.fw));
+        assert_eq!(c.result, first.result, "{} on {}: a repeat diverged", c.app, c.fw);
+    }
 }

@@ -1,22 +1,20 @@
 //! Crash-recovery suite for the resumable sweep engine: a sweep killed
 //! at *any* point and resumed from its journal must reproduce the
 //! uninterrupted sweep digest byte-for-byte; damaged or mismatched
-//! journals must surface as typed errors, never panics; retries and
-//! cancellation must be observable in the per-cell results.
+//! journals must surface as typed errors, never panics; a contained
+//! executor panic must be journaled like any completed cell.
 //!
 //! Cells run a synthetic executor (deterministic `AppResult` derived
 //! from the cell key) so the suite exercises the journal machinery —
-//! replay, torn tails, staleness, retry bookkeeping — without paying
-//! for real simulations.
+//! replay, torn tails, staleness — without paying for real simulations.
 
 use soff_baseline::{Framework, Outcome};
-use soff_exec::{CancelFlag, RetryPolicy, TaskCtx};
 use soff_workloads::data::Scale;
-use soff_workloads::journal::JournalError;
-use soff_workloads::sweep::{digest, run_cells_with, Cell, SweepOptions};
+use soff_workloads::journal::{self, JournalError};
+use soff_workloads::sweep::{digest, run_cells_with, sweep_identity, Cell, SweepOptions};
 use soff_workloads::{all_apps, AppResult};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A fresh scratch path per call (the suite runs tests concurrently).
@@ -52,7 +50,7 @@ fn fnv(bytes: &[u8]) -> u64 {
 }
 
 /// The synthetic executor: a deterministic function of the cell key.
-fn fake(cell: &Cell, _ctx: &TaskCtx) -> AppResult {
+fn fake(cell: &Cell) -> AppResult {
     let h = fnv(format!("{}|{:?}|{:?}", cell.app.name, cell.fw, cell.scale).as_bytes());
     AppResult {
         outcome: Outcome::Ok,
@@ -64,49 +62,33 @@ fn fake(cell: &Cell, _ctx: &TaskCtx) -> AppResult {
 }
 
 fn opts(journal: Option<PathBuf>) -> SweepOptions {
-    SweepOptions { jobs: 1, dedup: true, journal, ..SweepOptions::default() }
+    SweepOptions { jobs: 1, journal }
 }
 
-/// The tentpole acceptance criterion: for every kill point `k`, a sweep
-/// cancelled after `k` completed cells and resumed from its journal
-/// reproduces the uninterrupted digest byte-for-byte.
+/// Cuts the journal at `path` to its header plus its first `k` records:
+/// the file a `kill -9` right after the `k`-th durable append leaves.
+fn cut_to_records(path: &Path, k: usize) {
+    let text = fs::read_to_string(path).unwrap();
+    let kept: String = text.split_inclusive('\n').take(1 + k).collect();
+    fs::write(path, kept).unwrap();
+}
+
+/// For every kill point `k` — the journal holds its header plus `k`
+/// records — a resumed sweep replays exactly those `k` cells, runs the
+/// rest, and reproduces the uninterrupted digest byte-for-byte.
 #[test]
 fn killed_sweep_resumed_from_journal_reproduces_digest_at_every_kill_point() {
     let cells = grid();
-    let uninterrupted =
-        run_cells_with(&cells, &opts(None), fake).expect("journal-free sweep cannot fail");
-    let want = digest(&uninterrupted);
+    let want = digest(&run_cells_with(&cells, &opts(None), fake).unwrap());
+    let complete = scratch("complete");
+    run_cells_with(&cells, &opts(Some(complete.clone())), fake).unwrap();
+    let journal = fs::read_to_string(&complete).unwrap();
+    assert_eq!(journal.lines().count(), 1 + cells.len(), "header plus one record per cell");
 
-    // k = 0 (killed before anything completes) is the pre-cancelled test
-    // below; here the cancel fires after the k-th completion.
-    for k in 1..cells.len() {
+    for k in 0..=cells.len() {
         let path = scratch("kill");
-        // Phase 1: the "crashing" run — cancel fires after the k-th cell
-        // completes, so exactly k cells reach the journal.
-        let cancel = CancelFlag::new();
-        let done = AtomicUsize::new(0);
-        let phase1 = {
-            let mut o = opts(Some(path.clone()));
-            o.cancel = Some(cancel.clone());
-            run_cells_with(&cells, &o, |cell, ctx| {
-                let r = fake(cell, ctx);
-                if done.fetch_add(1, Ordering::SeqCst) + 1 == k {
-                    cancel.cancel();
-                }
-                r
-            })
-            .expect("phase-1 journal writes must succeed")
-        };
-        let cancelled = phase1.iter().filter(|c| c.cancelled).count();
-        assert!(cancelled > 0, "kill point {k}: the sweep must actually be cut short");
-        // Partial output is marked as such — every unstarted cell is a
-        // placeholder row, not a fabricated result.
-        for c in phase1.iter().filter(|c| c.cancelled) {
-            assert_eq!(c.result.outcome, Outcome::RuntimeError);
-            assert_eq!(c.attempts, 0);
-        }
-
-        // Phase 2: resume. Replays the journaled prefix, runs the rest.
+        fs::write(&path, &journal).unwrap();
+        cut_to_records(&path, k);
         let resumed = run_cells_with(&cells, &opts(Some(path.clone())), fake)
             .expect("resume must replay the journal");
         assert_eq!(
@@ -115,13 +97,10 @@ fn killed_sweep_resumed_from_journal_reproduces_digest_at_every_kill_point() {
             "kill point {k}: resumed sweep diverged from uninterrupted"
         );
         let replayed = resumed.iter().filter(|c| c.from_journal).count();
-        assert!(
-            replayed >= k.saturating_sub(1),
-            "kill point {k}: expected ≈{k} replayed cells, got {replayed}"
-        );
-        assert!(resumed.iter().all(|c| !c.cancelled), "resume ran to completion");
+        assert_eq!(replayed, k, "kill point {k}: exactly the journaled cells replay");
         let _ = fs::remove_file(&path);
     }
+    let _ = fs::remove_file(&complete);
 }
 
 /// A torn final record (the classic kill-during-append shape) is
@@ -186,74 +165,53 @@ fn mid_file_damage_is_a_typed_corrupt_error() {
     let _ = fs::remove_file(&path);
 }
 
-/// Transient failures retry up to the policy bound; the per-cell
-/// `attempts` count is surfaced, journaled, and replayed.
+/// An executor panic that escapes to the pool becomes an `RE` row
+/// carrying the panic message and is journaled as `panicked`, so a
+/// resume replays the failure instead of re-running a deterministic
+/// crash.
 #[test]
-fn transient_cells_retry_and_the_attempt_count_survives_resume() {
+fn panicking_cell_is_journaled_and_not_rerun_on_resume() {
     let cells = grid();
-    let path = scratch("retry");
-    let mut o = opts(Some(path.clone()));
-    o.retry = Some(RetryPolicy { max_attempts: 3, base_delay_ms: 0, max_delay_ms: 0, seed: 7 });
-
-    // First two attempts of every cell wedge (`H`); the third succeeds.
-    let flaky = |cell: &Cell, ctx: &TaskCtx| {
-        if ctx.attempt < 3 {
-            AppResult { outcome: Outcome::Hang, ..fake(cell, ctx) }
-        } else {
-            fake(cell, ctx)
+    let victim = 3;
+    let (victim_app, victim_fw) = (cells[victim].app.name, cells[victim].fw);
+    let path = scratch("panic");
+    let calls = AtomicUsize::new(0);
+    let ran = run_cells_with(&cells, &SweepOptions { jobs: 2, journal: Some(path.clone()) }, |c| {
+        calls.fetch_add(1, Ordering::SeqCst);
+        if c.app.name == victim_app && c.fw == victim_fw {
+            panic!("injected executor bug in {}", c.app.name);
         }
-    };
-    let ran = run_cells_with(&cells, &o, flaky).unwrap();
-    for c in &ran {
-        assert_eq!(c.result.outcome, Outcome::Ok, "{}: retry must rescue the cell", c.app);
-        assert_eq!(c.attempts, 3, "{}: three attempts recorded", c.app);
-    }
-
-    // Resume replays everything — with the attempt counts intact.
-    let replayed = run_cells_with(&cells, &opts(Some(path.clone())), fake).unwrap();
-    for c in &replayed {
-        assert!(c.from_journal, "{}: fully-journaled sweep replays entirely", c.app);
-        assert_eq!(c.attempts, 3, "{}: attempts survive the journal round-trip", c.app);
-    }
-    assert_eq!(digest(&ran), digest(&replayed));
-    let _ = fs::remove_file(&path);
-}
-
-/// Deterministically failing cells exhaust the retry budget and keep
-/// their failure outcome (retrying is bounded, not infinite).
-#[test]
-fn permanent_failures_exhaust_the_retry_budget() {
-    let cells = grid();
-    let mut o = opts(None);
-    o.retry = Some(RetryPolicy { max_attempts: 2, base_delay_ms: 0, max_delay_ms: 0, seed: 1 });
-    let ran = run_cells_with(&cells, &o, |cell, ctx| AppResult {
-        outcome: Outcome::RuntimeError,
-        ..fake(cell, ctx)
+        fake(c)
     })
     .unwrap();
-    for c in &ran {
-        assert_eq!(c.result.outcome, Outcome::RuntimeError);
-        assert_eq!(c.attempts, 2, "{}: stopped at the bound", c.app);
-    }
-}
+    assert_eq!(calls.load(Ordering::SeqCst), cells.len());
+    assert_eq!(ran[victim].result.outcome, Outcome::RuntimeError);
+    let message = ran[victim].panic.as_deref().unwrap_or("");
+    assert!(message.contains("injected executor bug in"), "panic message lost: {message:?}");
+    assert!(
+        ran.iter().enumerate().all(|(i, c)| (i == victim) == c.panic.is_some()),
+        "only the panicked cell's row carries a panic"
+    );
 
-/// A sweep cancelled before it starts produces only placeholder rows
-/// and journals nothing (there is nothing durable to fabricate).
-#[test]
-fn pre_cancelled_sweep_is_all_placeholders_and_journals_nothing() {
-    let cells = grid();
-    let path = scratch("precancel");
-    let cancel = CancelFlag::new();
-    cancel.cancel();
-    let mut o = opts(Some(path.clone()));
-    o.cancel = Some(cancel);
-    let ran = run_cells_with(&cells, &o, fake).unwrap();
-    assert!(ran.iter().all(|c| c.cancelled), "every cell is a cancelled placeholder");
+    let records = journal::replay(&path, sweep_identity(&cells)).unwrap();
+    assert_eq!(records.len(), cells.len(), "every cell, the panicked one included, is journaled");
+    let rec = records
+        .iter()
+        .find(|r| r.app == victim_app && r.fw == format!("{victim_fw:?}"))
+        .expect("the panicked cell has a record");
+    assert!(rec.panicked);
+    assert_eq!(rec.result.outcome, Outcome::RuntimeError);
 
-    // The journal holds the header only: a later resume runs everything.
-    let resumed = run_cells_with(&cells, &opts(Some(path.clone())), fake).unwrap();
-    assert!(resumed.iter().all(|c| !c.from_journal));
-    assert_eq!(digest(&resumed), digest(&run_cells_with(&cells, &opts(None), fake).unwrap()));
+    let resumed_calls = AtomicUsize::new(0);
+    let resumed = run_cells_with(&cells, &opts(Some(path.clone())), |c| {
+        resumed_calls.fetch_add(1, Ordering::SeqCst);
+        fake(c)
+    })
+    .unwrap();
+    assert_eq!(resumed_calls.load(Ordering::SeqCst), 0, "a resume must not re-run any cell");
+    assert!(resumed.iter().all(|c| c.from_journal));
+    assert!(resumed[victim].panic.is_some(), "the replayed row still reads as panicked");
+    assert_eq!(digest(&resumed), digest(&ran));
     let _ = fs::remove_file(&path);
 }
 
@@ -294,37 +252,24 @@ fn resume_across_run_control_knob_change() {
         }
     };
 
-    // Ground truth: uninterrupted, dense scheduler, no preemption.
-    let baseline = run_cells_with(&cells, &opts(None), |c, _| {
-        run(c, Scheduler::Dense, None)
-    })
-    .unwrap();
-    let want = digest(&baseline);
-
-    // Phase 1: journal the first cell under (Dense, uninterrupted), then
-    // "crash".
+    // Ground truth: uninterrupted, dense scheduler, no preemption,
+    // journaled. Cutting its journal to the first record is a "crash"
+    // after that cell completed under (Dense, uninterrupted).
     let path = scratch("knobs");
-    let cancel = CancelFlag::new();
-    let phase1 = {
-        let mut o = opts(Some(path.clone()));
-        o.cancel = Some(cancel.clone());
-        run_cells_with(&cells, &o, |c, _| {
-            let r = run(c, Scheduler::Dense, None);
-            cancel.cancel(); // kill after the first completion
-            r
-        })
-        .unwrap()
-    };
-    assert!(phase1.iter().any(|c| c.cancelled), "phase 1 must be cut short");
+    let baseline =
+        run_cells_with(&cells, &opts(Some(path.clone())), |c| run(c, Scheduler::Dense, None))
+            .unwrap();
+    let want = digest(&baseline);
+    cut_to_records(&path, 1);
 
     // Phase 2: resume the *same* journal under completely different
     // run-control knobs (fast scheduling, aggressive preemption).
-    let resumed = run_cells_with(&cells, &opts(Some(path.clone())), |c, _| {
-        run(c, Scheduler::Fast, Some(2048))
-    })
-    .unwrap();
-    assert!(
-        resumed.iter().any(|c| c.from_journal),
+    let resumed =
+        run_cells_with(&cells, &opts(Some(path.clone())), |c| run(c, Scheduler::Fast, Some(2048)))
+            .unwrap();
+    assert_eq!(
+        resumed.iter().filter(|c| c.from_journal).count(),
+        1,
         "the knob change must not invalidate the journal"
     );
     assert_eq!(
