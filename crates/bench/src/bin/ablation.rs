@@ -287,8 +287,10 @@ fn main() {
     }
     println!("{:-<58}", "");
     println!("(>1.00x = slower than full SOFF; each mechanism should cost when removed)");
+    // Stderr: the counts describe this process (a resume whose variants
+    // all replay compiles nothing), not the study the table reports.
     let cache = soff_runtime::cache::stats();
-    println!(
+    eprintln!(
         "compile cache: {} hits / {} misses (one frontend+lower pass shared by all variants)",
         cache.frontend_hits, cache.frontend_misses
     );

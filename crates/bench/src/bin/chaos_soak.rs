@@ -26,12 +26,15 @@
 //!   reports `Ok` again, and the journal replays clean (unique keys,
 //!   one record per settled job).
 //! - **Determinism** — the schedule digest is a pure function of the
-//!   seed (printed and written to `BENCH_chaos.json` so two runs of the
-//!   same seed can be diffed).
+//!   seed (printed, so two runs of the same seed can be diffed).
 //!
 //! Usage:
 //!   chaos_soak [--slots N] [--tenants N] [--jobs N] [--seed S]
-//!              [--slice CYCLES] [--events N] [--cache-dir DIR]
+//!              [--slice CYCLES] [--events N] [--cache-dir DIR] [--json]
+//!
+//! `--json` writes the run's row (flags, schedule digest, outcome and
+//! recovery counts) to `BENCH_chaos.json`; without it the run writes no
+//! file.
 
 use soff_bench::json::{write_bench_rows, Json};
 use soff_obs::Registry;
@@ -320,12 +323,13 @@ struct Opts {
     slice: u64,
     events: u32,
     cache_dir: Option<PathBuf>,
+    json: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: chaos_soak [--slots N] [--tenants N] [--jobs N] [--seed S] \
-         [--slice CYCLES] [--events N] [--cache-dir DIR]"
+         [--slice CYCLES] [--events N] [--cache-dir DIR] [--json]"
     );
     std::process::exit(2);
 }
@@ -339,6 +343,7 @@ fn parse(args: &[String]) -> Opts {
         slice: 2_000,
         events: 14,
         cache_dir: None,
+        json: false,
     };
     let mut it = args.iter().skip(1);
     while let Some(a) = it.next() {
@@ -356,6 +361,7 @@ fn parse(args: &[String]) -> Opts {
             "--slice" => o.slice = val("--slice").parse().unwrap_or_else(|_| usage()),
             "--events" => o.events = val("--events").parse().unwrap_or_else(|_| usage()),
             "--cache-dir" => o.cache_dir = Some(PathBuf::from(val("--cache-dir"))),
+            "--json" => o.json = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other}");
@@ -693,9 +699,11 @@ fn main() {
         ("chaos_wall_seconds", Json::Num(chaos_wall.as_secs_f64())),
         ("violations", Json::Int(violations.len() as i64)),
     ]);
-    match write_bench_rows("chaos", vec![row]) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write BENCH_chaos.json: {e}"),
+    if o.json {
+        match write_bench_rows("chaos", vec![row]) {
+            Ok(p) => println!("wrote {}", p.display()),
+            Err(e) => eprintln!("could not write BENCH_chaos.json: {e}"),
+        }
     }
 
     if o.cache_dir.is_none() {

@@ -12,7 +12,7 @@
 //! Usage:
 //!   serve_soak [--slots N] [--tenants N] [--jobs N] [--seed S]
 //!              [--slice CYCLES] [--cache-dir DIR] [--overload]
-//!              [--metrics FILE] [--trace FILE]
+//!              [--metrics FILE] [--trace FILE] [--json]
 //!
 //! `--overload` runs one device slot with tight queue bounds and exits
 //! non-zero unless backpressure was exercised (typed queue/quota
@@ -30,6 +30,10 @@
 //! the serve layer on the wall clock, pids 100+ are sampled kernels on
 //! their simulated-cycle clocks. Profiling is observational — the run
 //! digest is unchanged.
+//!
+//! `--json` writes the run's row (flags, counts, turnaround buckets,
+//! cache counters, digest) to `BENCH_serve_soak.json`; without it the
+//! run writes no file.
 
 use soff_bench::json::{write_bench_rows, Json};
 use soff_obs::{pair_spans_with_drops, ChromeTraceWriter, SpanKind, TraceBuf};
@@ -202,13 +206,14 @@ struct Opts {
     overload: bool,
     metrics: Option<PathBuf>,
     trace: Option<PathBuf>,
+    json: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: serve_soak [--slots N] [--tenants N] [--jobs N] [--seed S] \
          [--slice CYCLES] [--cache-dir DIR] [--overload] \
-         [--metrics FILE] [--trace FILE]"
+         [--metrics FILE] [--trace FILE] [--json]"
     );
     std::process::exit(2);
 }
@@ -224,6 +229,7 @@ fn parse(args: &[String]) -> Opts {
         overload: false,
         metrics: None,
         trace: None,
+        json: false,
     };
     let mut it = args.iter().skip(1);
     while let Some(a) = it.next() {
@@ -243,6 +249,7 @@ fn parse(args: &[String]) -> Opts {
             "--metrics" => o.metrics = Some(PathBuf::from(val("--metrics"))),
             "--trace" => o.trace = Some(PathBuf::from(val("--trace"))),
             "--overload" => o.overload = true,
+            "--json" => o.json = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other}");
@@ -468,9 +475,11 @@ fn main() {
         ("disk_corrupt", Json::Int(cache.disk_corrupt as i64)),
         ("digest", Json::str(format!("{digest:016x}"))),
     ]);
-    match write_bench_rows("serve_soak", vec![row]) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write BENCH_serve_soak.json: {e}"),
+    if o.json {
+        match write_bench_rows("serve_soak", vec![row]) {
+            Ok(p) => println!("wrote {}", p.display()),
+            Err(e) => eprintln!("could not write BENCH_serve_soak.json: {e}"),
+        }
     }
 
     if let Some(path) = &o.metrics {

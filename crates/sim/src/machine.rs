@@ -326,13 +326,15 @@ pub struct SimResult {
     pub retired: u64,
     /// Aggregated cache statistics.
     pub cache: CacheStats,
-    /// Per-cache statistics, indexed like the machine's cache array
-    /// (buffer-group-major, instance-minor; see
+    /// Per-cache statistics, indexed like the configured machine's cache
+    /// array (instance-major, buffer-group-minor; see
     /// [`crate::memsys::CachePlan::cache_index`]). Sums to `cache`.
     pub per_cache: Vec<CacheStats>,
     /// DRAM statistics.
     pub dram: DramStats,
-    /// Datapath instances used.
+    /// Datapath instances configured. A fault-free launch builds only
+    /// the first `min(num_instances, work-groups)`, the ones dispatch can
+    /// reach; the per-component statistics still cover all of them.
     pub num_instances: u32,
     /// Cycles any functional unit's output was blocked by a full channel
     /// (Case-2 stalls, §IV-C).
@@ -343,9 +345,9 @@ pub struct SimResult {
     /// Aggregated line-buffer statistics (all zero when no sliding
     /// window was lowered).
     pub line_buf: LineBufStats,
-    /// Per-line-buffer statistics, indexed like the machine's line-buffer
-    /// array (window-major: `window * num_instances + instance`). Sums to
-    /// `line_buf`.
+    /// Per-line-buffer statistics, indexed like the configured machine's
+    /// line-buffer array (window-major: `window * num_instances +
+    /// instance`). Sums to `line_buf`.
     pub per_line_buf: Vec<LineBufStats>,
     /// Full cycle-attribution profile (only when [`SimConfig::profile`]
     /// was set).
@@ -508,12 +510,24 @@ pub struct Machine {
     /// [`Machine::restore`] resyncs the bytes.
     prog: TickProgram,
     fingerprint: u64,
+    /// The configured machine's component counts, every instance built.
+    configured: Counts,
     st: MachineState,
+}
+
+/// Channel, cache and line-buffer counts: what fault plans index and
+/// what [`SimResult`]'s per-component statistics are laid out by.
+struct Counts {
+    chans: usize,
+    caches: usize,
+    line_bufs: usize,
 }
 
 impl Machine {
     /// Builds the machine for one launch, validating the configuration
     /// (cache geometry, launch geometry, fault-plan component targets).
+    /// Without a fault plan only the datapath instances dispatch can
+    /// reach are built (see [`SimResult::num_instances`]).
     ///
     /// # Errors
     ///
@@ -553,8 +567,18 @@ impl Machine {
             plan.shared = true;
         }
         let n_inst = cfg.num_instances.max(1) as usize;
-        let mut mem =
-            MemorySystem::build(kernel, dp, &plan, n_inst, cfg.cache, cfg.dram, &launch);
+        let num_wgs = nd.num_groups();
+        // The dispatcher (§III-B) hands each idle instance one work-group
+        // at cycle 0, in instance order, so a fault-free launch never
+        // reaches an instance past its work-group count; only those are
+        // built. A fault plan can jam an entry channel and push dispatch
+        // further along, so it gets every configured instance.
+        let built = if cfg.faults.is_empty() {
+            n_inst.min(usize::try_from(num_wgs).unwrap_or(usize::MAX))
+        } else {
+            n_inst
+        };
+        let mut mem = MemorySystem::build(kernel, dp, &plan, built, cfg.cache, cfg.dram, &launch);
 
         // Sliding-window lowering (§13 of DESIGN.md): detected affine
         // window groups whose launch-time span fits the shift register are
@@ -576,7 +600,7 @@ impl Machine {
             // The window's buffer base tells the unit its streamable
             // extent; requests outside it are boundary taps.
             let base = launch.params[w.param];
-            for _ in 0..n_inst {
+            for _ in 0..built {
                 mem.line_bufs.push(LineBuffer::new(LineBufConfig::default(), base));
             }
         }
@@ -601,9 +625,9 @@ impl Machine {
             metas: Vec::new(),
             fifos: Vec::new(),
             counters: Vec::new(),
-            local_next_port: vec![0; kernel.local_vars.len() * n_inst],
+            local_next_port: vec![0; kernel.local_vars.len() * built],
             inst: 0,
-            n_inst,
+            n_inst: built,
             nvars: kernel.local_vars.len(),
             wg_size: launch.wg_size(),
             profile: cfg.profile.is_some(),
@@ -611,9 +635,9 @@ impl Machine {
         };
 
         let root = dp.root.clone();
-        let mut dispatchers = Vec::with_capacity(n_inst);
-        let mut inst_ends = Vec::with_capacity(n_inst);
-        for inst in 0..n_inst {
+        let mut dispatchers = Vec::with_capacity(built);
+        let mut inst_ends = Vec::with_capacity(built);
+        for inst in 0..built {
             b.inst = inst;
             let entry = b.new_chan(2);
             let retire = b.new_chan(4);
@@ -628,10 +652,10 @@ impl Machine {
         // One observational component per line buffer, after all instances
         // (indices into `mem.line_bufs`, window-major like the array).
         for w in 0..windows.len() {
-            for inst in 0..n_inst {
+            for inst in 0..built {
                 b.push_comp(
                     Comp::LineBuf(LineBufUnit {
-                        lb: w * n_inst + inst,
+                        lb: w * built + inst,
                         cycles: CycleBreakdown::default(),
                     }),
                     format!("line buffer {w} (inst {inst})"),
@@ -640,6 +664,13 @@ impl Machine {
         }
 
         let Builder { chans, comps, fifos, counters, metas, .. } = b;
+        // Every channel belongs to one instance, and all instances are
+        // wired alike.
+        let configured = Counts {
+            chans: chans.len() / built * n_inst,
+            caches: plan.total_caches(n_inst),
+            line_bufs: windows.len() * n_inst,
+        };
 
         // Config-time fault validation: every fault must target a
         // component this machine actually has (see `FaultPlan::validate`).
@@ -657,7 +688,6 @@ impl Machine {
         });
 
         let total = launch.total_work_items();
-        let num_wgs = nd.num_groups();
         let wg_size = launch.wg_size();
         let gate_wgs = kernel.uses_local;
         let (deadlock_window, livelock_window) =
@@ -719,6 +749,7 @@ impl Machine {
             skip,
             prog,
             fingerprint,
+            configured,
             st: MachineState {
                 chans,
                 comps,
@@ -749,20 +780,24 @@ impl Machine {
         self.st.retired
     }
 
-    /// Number of inter-component channels (fault plans index into this).
+    /// Number of inter-component channels of the configured machine
+    /// (fault plans index into this), even where a fault-free launch
+    /// builds fewer instances.
     pub fn num_channels(&self) -> usize {
-        self.st.chans.len()
+        self.configured.chans
     }
 
-    /// Number of cache instances (fault plans index into this).
+    /// Number of cache instances of the configured machine (fault plans
+    /// index into this).
     pub fn num_caches(&self) -> usize {
-        self.st.mem.caches.len()
+        self.configured.caches
     }
 
-    /// Number of line buffers (fault plans index into this). Zero unless
-    /// sliding windows were detected, gated, and lowered for this launch.
+    /// Number of line buffers of the configured machine (fault plans
+    /// index into this). Zero unless sliding windows were detected,
+    /// gated, and lowered for this launch.
     pub fn num_line_bufs(&self) -> usize {
-        self.st.mem.line_bufs.len()
+        self.configured.line_bufs
     }
 
     /// Captures the complete architectural state plus a copy-on-write
@@ -1002,18 +1037,35 @@ impl Machine {
                     done,
                 ))
             });
+            // Unbuilt instances pad the per-component statistics with
+            // zeros, in the configured machine's layouts: caches are
+            // instance-major, so the built ones are a prefix; line
+            // buffers are window-major.
+            let mut per_cache = self.st.mem.per_cache_stats();
+            per_cache.resize(self.configured.caches, CacheStats::default());
+            let built = self.st.dispatchers.len();
+            let unbuilt = self.cfg.num_instances.max(1) as usize - built;
+            let per_line_buf = self
+                .st
+                .mem
+                .per_lb_stats()
+                .chunks(built)
+                .flat_map(|w| {
+                    w.iter().copied().chain(std::iter::repeat_n(LineBufStats::default(), unbuilt))
+                })
+                .collect();
             return Step::Done(SimResult {
                 cycles: done,
                 compute_cycles: now,
                 retired: self.st.retired,
                 cache: self.st.mem.cache_stats(),
-                per_cache: self.st.mem.per_cache_stats(),
+                per_cache,
                 dram: self.st.mem.dram.stats,
                 num_instances: self.cfg.num_instances.max(1),
                 output_stalls,
                 issue_stalls,
                 line_buf: self.st.mem.lb_stats(),
-                per_line_buf: self.st.mem.per_lb_stats(),
+                per_line_buf,
                 profile,
             });
         }
@@ -1299,6 +1351,7 @@ struct Builder<'a> {
     counters: Vec<u64>,
     local_next_port: Vec<usize>,
     inst: usize,
+    /// Instances built, which may be fewer than configured.
     n_inst: usize,
     nvars: usize,
     wg_size: u64,

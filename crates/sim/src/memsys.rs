@@ -32,11 +32,11 @@ pub struct MemorySystem {
     /// All caches (shared across datapath instances when the kernel uses
     /// atomics, per instance otherwise, §V-A).
     pub caches: Vec<Cache>,
-    /// Shift-register line buffers, one per (sliding window × instance),
-    /// window-major (see DESIGN.md §13). The cache of a window-served
-    /// group is still built but receives no ports — synthesis would
-    /// elide it; keeping it inert preserves cache indices for fault
-    /// plans and per-cache statistics.
+    /// Shift-register line buffers, one per (sliding window × built
+    /// instance), window-major (see DESIGN.md §13). The cache of a
+    /// window-served group is still built but receives no ports —
+    /// synthesis would elide it; keeping it inert preserves cache indices
+    /// for fault plans and per-cache statistics.
     pub line_bufs: Vec<LineBuffer>,
     /// All local blocks (always per instance).
     pub locals: Vec<LocalBlock>,
@@ -318,7 +318,7 @@ impl MemorySystem {
     }
 
     /// Per-line-buffer statistics, indexed like `line_bufs`
-    /// (window-major: `window * num_instances + instance`).
+    /// (window-major: `window * built instances + instance`).
     pub fn per_lb_stats(&self) -> Vec<LineBufStats> {
         self.line_bufs.iter().map(|b| b.stats).collect()
     }
