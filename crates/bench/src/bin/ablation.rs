@@ -28,10 +28,12 @@ use soff_bench::json::{write_bench_rows, Json};
 use soff_bench::{jobs_flag, resume_flag};
 use soff_datapath::hierarchy::DatapathOptions;
 use soff_datapath::{Datapath, LatencyModel};
+use soff_ir::ir::Kernel;
 use soff_ir::mem::{ArgValue, GlobalMemory};
 use soff_ir::NdRange;
+use soff_obs::{fnv1a, FNV_OFFSET};
 use soff_sim::{run, SimConfig};
-use soff_workloads::journal::{self, Journal, JournalError, Record};
+use soff_workloads::journal::{Journal, JournalError, Record};
 use soff_workloads::AppResult;
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -81,12 +83,7 @@ struct Variant {
     shared_cache: bool,
 }
 
-fn run_variant(v: &Variant) -> Result<u64, String> {
-    // The compile cache makes the nine variants share one frontend+lower
-    // pass — only the datapath/simulation differs between them.
-    let module = soff_runtime::cache::lower_cached(SRC, &[])
-        .map_err(|d| format!("compile failed: {d}"))?;
-    let kernel = module.kernel("reduce").ok_or("kernel `reduce` missing")?;
+fn run_variant(kernel: &Kernel, v: &Variant) -> Result<u64, String> {
     let dp = Datapath::build_opts(kernel, &v.lat, v.opts);
 
     let n = 64u64;
@@ -199,7 +196,7 @@ fn main() {
     let barrier_keys = ["uniform-loop-on", "uniform-loop-off"];
     let keys: Vec<&str> =
         all.iter().map(|v| v.name).chain(barrier_keys.iter().copied()).collect();
-    let identity = journal::fnv1a(keys.join("\n").as_bytes());
+    let identity = fnv1a(FNV_OFFSET, keys.join("\n").as_bytes());
     let mut replayed: HashMap<String, u64> = HashMap::new();
     let journal = match &resume {
         // `recover` also truncates a torn tail, so the next append starts
@@ -231,8 +228,12 @@ fn main() {
         .filter(|(_, v)| !replayed.contains_key(v.name))
         .map(|(i, v)| (i, *v))
         .collect();
+    // One frontend+lower pass, shared by every variant: only the datapath
+    // and the simulation differ between them.
+    let module = soff_runtime::cache::lower_cached(SRC, &[]).expect("the reduction compiles");
+    let kernel = module.kernel("reduce").expect("kernel `reduce`");
     let ran = soff_exec::run_tasks(jobs, todo.clone(), |_, (_, v): (usize, &Variant)| {
-        let r = run_variant(v);
+        let r = run_variant(kernel, v);
         if let Ok(c) = r {
             append(v.name, c);
         }
@@ -287,13 +288,6 @@ fn main() {
     }
     println!("{:-<58}", "");
     println!("(>1.00x = slower than full SOFF; each mechanism should cost when removed)");
-    // Stderr: the counts describe this process (a resume whose variants
-    // all replay compiles nothing), not the study the table reports.
-    let cache = soff_runtime::cache::stats();
-    eprintln!(
-        "compile cache: {} hits / {} misses (one frontend+lower pass shared by all variants)",
-        cache.frontend_hits, cache.frontend_misses
-    );
 
     // The §IV-F1 uniform-loop optimization, on a barrier kernel.
     println!();

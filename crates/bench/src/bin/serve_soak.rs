@@ -36,7 +36,9 @@
 //! run writes no file.
 
 use soff_bench::json::{write_bench_rows, Json};
-use soff_obs::{pair_spans_with_drops, ChromeTraceWriter, SpanKind, TraceBuf};
+use soff_obs::{
+    fnv1a, pair_spans_with_drops, ChromeTraceWriter, SpanKind, TraceBuf, FNV_OFFSET,
+};
 use soff_serve::{
     JobId, NdRange, ProfileSampling, ServeError, Server, ServerConfig, Session, TenantQuota,
 };
@@ -87,13 +89,6 @@ impl Rng {
     fn unit(&mut self) -> f32 {
         ((self.next() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) as f32
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(h: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 // ------------------------------------------------------------------- jobs
@@ -162,7 +157,7 @@ fn run_tenant(sess: &Session, specs: &[JobSpec], variant: u64) -> TenantRun {
         let (id, t0) = pending.pop_front().expect("backpressure with empty queue");
         let out = sess.wait(id).expect("soak job failed");
         turnarounds.push(t0.elapsed().as_micros() as u64);
-        *digest = fnv(*digest, &out.cycles.to_le_bytes());
+        *digest = fnv1a(*digest, &out.cycles.to_le_bytes());
     };
 
     let mut pending: VecDeque<(JobId, Instant)> = VecDeque::new();
@@ -189,7 +184,7 @@ fn run_tenant(sess: &Session, specs: &[JobSpec], variant: u64) -> TenantRun {
     // Jobs are independent (one buffer each) and the queue is drained,
     // so reading back in job order is deterministic.
     for &buf in &buffers {
-        digest = fnv(digest, &sess.read_buffer(buf).expect("read back"));
+        digest = fnv1a(digest, &sess.read_buffer(buf).expect("read back"));
     }
     TenantRun { digest, turnarounds, backpressure_waits }
 }
@@ -376,8 +371,8 @@ fn main() {
     // Combine per-tenant digests in tenant order (thread-timing free).
     let mut digest = FNV_OFFSET;
     for (t, run) in runs.iter().enumerate() {
-        digest = fnv(digest, &(t as u64).to_le_bytes());
-        digest = fnv(digest, &run.digest.to_le_bytes());
+        digest = fnv1a(digest, &(t as u64).to_le_bytes());
+        digest = fnv1a(digest, &run.digest.to_le_bytes());
     }
 
     // Turnarounds go through the shared log-scale histogram; percentiles

@@ -190,17 +190,9 @@ impl RetryPolicy {
         // Decorrelate workers without losing determinism: keep the lower
         // half of the exponential delay, jitter the upper half.
         let half = raw / 2;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in self
-            .seed
-            .to_le_bytes()
-            .into_iter()
-            .chain((index as u64).to_le_bytes())
-            .chain(u64::from(attempt).to_le_bytes())
-        {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let mut h = soff_obs::fnv1a(soff_obs::FNV_OFFSET, &self.seed.to_le_bytes());
+        h = soff_obs::fnv1a(h, &(index as u64).to_le_bytes());
+        h = soff_obs::fnv1a(h, &u64::from(attempt).to_le_bytes());
         (half + h % (half + 1)).min(cap)
     }
 }

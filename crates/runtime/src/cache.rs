@@ -54,25 +54,11 @@
 use crate::store::{DiskStore, Lookup};
 use crate::{BuildError, Program};
 use soff_ir::ir::Module;
-use soff_obs::Counter;
+use soff_obs::{fnv1a, Counter, FNV_OFFSET};
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-/// FNV-1a over a byte slice, folded into a running state (so multiple
-/// fields can be chained without concatenating them first).
-pub fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    let mut h = state;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// The FNV-1a offset basis (initial state).
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Per-layer entry capacity. Far above what one sweep needs
 /// (34 apps × a handful of define/device combinations) while bounding
@@ -382,9 +368,11 @@ fn disk_discredit(store: &DiskStore, kind: &str, key: u64) {
     disk_state().corrupt.inc();
 }
 
-/// Compiles and lowers `source`, sharing the result process-wide: the
-/// first call pays the frontend + lowering cost, repeats get the same
-/// `Arc<Module>`. With a disk store attached, the lowered module is
+/// Compiles and lowers `source`, sharing the result process-wide: a call
+/// that finds the module on the shelf gets the shelved `Arc<Module>`.
+/// Nothing merges concurrent misses: calls that race on a first miss
+/// each compile and return their own module, and the shelf keeps the
+/// first one stored. With a disk store attached, the lowered module is
 /// persisted and later processes deserialize instead of compiling.
 /// Errors are recomputed (never cached).
 ///
@@ -586,14 +574,6 @@ mod tests {
     const SRC: &str = "__kernel void id(__global float* a) {
         a[get_global_id(0)] = a[get_global_id(0)];
     }";
-
-    #[test]
-    fn fnv_is_stable_and_order_sensitive() {
-        assert_eq!(fnv1a(FNV_OFFSET, b""), FNV_OFFSET);
-        assert_ne!(fnv1a(FNV_OFFSET, b"ab"), fnv1a(FNV_OFFSET, b"ba"));
-        // Chaining equals one pass over the concatenation.
-        assert_eq!(fnv1a(fnv1a(FNV_OFFSET, b"ab"), b"cd"), fnv1a(FNV_OFFSET, b"abcd"));
-    }
 
     #[test]
     fn defines_change_the_key() {

@@ -30,7 +30,7 @@
 //! u64 LE  FNV-1a-64 checksum   over material + payload bytes
 //! ```
 
-use crate::cache::{fnv1a, FNV_OFFSET};
+use soff_obs::{fnv1a, FNV_OFFSET};
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};

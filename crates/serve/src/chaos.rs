@@ -23,6 +23,7 @@
 //! in which breakers re-close, the store heals, and
 //! [`crate::Server::health`] must return to `Ok`.
 
+use soff_obs::{fnv1a, FNV_OFFSET};
 use soff_sim::{Fault, FaultPlan};
 
 /// Parameters a schedule is generated from.
@@ -199,14 +200,7 @@ impl ChaosSchedule {
     /// FNV-1a digest over the rendered event list: the "same seed ⇒
     /// same schedule" witness two runs compare.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for event in &self.events {
-            for b in format!("{event:?};").bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        self.events.iter().fold(FNV_OFFSET, |h, event| fnv1a(h, format!("{event:?};").as_bytes()))
     }
 }
 

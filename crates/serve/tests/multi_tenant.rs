@@ -109,9 +109,9 @@ fn shared_results_match_solo_runs() {
 }
 
 /// The server's scheduler knob reaches the simulator (it used to be
-/// silently ignored) and both backends — whose tick programs rebuild
-/// their hot-state bytes at each slice's snapshot restore — slice to the
-/// same bit-identical results as a solo unsliced run.
+/// silently ignored) and both backends — each restoring a snapshot at
+/// every slice — slice to the same bit-identical results as a solo
+/// unsliced run.
 #[test]
 fn sliced_results_are_backend_invariant() {
     let works = [

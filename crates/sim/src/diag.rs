@@ -311,10 +311,6 @@ pub(crate) fn channel_wiring(comps: &[Comp]) -> ChannelWiring {
                 w.consumer.insert(b.inp.0, me);
                 w.producer.insert(b.out.0, me);
             }
-            // Line-buffer observers touch no channels; datapath units
-            // reach the line buffer through `MemTarget::LineBuf`, which
-            // the wait-for pass attributes directly.
-            Comp::LineBuf(_) => {}
         }
     }
     w
@@ -591,9 +587,6 @@ pub(crate) fn build_report(v: &MachineView<'_>) -> DeadlockReport {
                     }
                 }
             }
-            // Pure observer; never blocked, never blocking through
-            // channels (memory waits reach it via `MemTarget::LineBuf`).
-            Comp::LineBuf(_) => {}
         }
     }
 

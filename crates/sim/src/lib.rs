@@ -45,7 +45,6 @@ pub mod launch;
 pub mod machine;
 pub mod memsys;
 pub mod profile;
-pub(crate) mod tickvm;
 pub mod token;
 pub mod units;
 

@@ -2,6 +2,12 @@
 //! dispatcher, replicated datapath instances, memory subsystem, and the
 //! work-item counter that triggers the final cache flush.
 //!
+//! Each datapath instance owns one equal-length range of the component
+//! vector (pipelines and glue). Every cycle the machine dispatches, walks
+//! those ranges in component order, ticks the memory system (caches,
+//! line buffers, local blocks, DRAM), and counts retirements; under
+//! [`Scheduler::Fast`] each skip test reads the component's own state.
+//!
 //! The machine is **preemptible**: [`Machine`] exposes the construction /
 //! stepping split behind [`run`], and [`Machine::snapshot`] /
 //! [`Machine::restore`] capture and reinstate the *complete*
@@ -18,9 +24,8 @@ use crate::glue::{BarrierUnit, Branch, DecisionFifo, LoopEnter, LoopExit, Select
 use crate::launch::LaunchCtx;
 use crate::memsys::{CachePlan, MemTarget, MemorySystem};
 use crate::profile::{self, CycleBreakdown, ProfileConfig, ProfileReport, Profiler};
-use crate::tickvm::{self, TickProgram};
 use crate::token::{edge_mapping, Mapping, Token};
-use crate::units::{LineBufUnit, PipeCode, PipelineSim};
+use crate::units::{PipeCode, PipelineSim};
 use soff_datapath::{Datapath, PipeNode};
 use soff_ir::interp::InterpError;
 use soff_ir::ir::{BlockId, InstKind, Kernel, NdRange, ValueId};
@@ -40,13 +45,13 @@ use std::sync::Arc;
 
 /// Which main-loop strategy drives the machine.
 ///
-/// Both schedulers run the same tick program (the component graph and
-/// every pipeline's unit table, lowered at elaboration) with the *same*
-/// per-cycle semantics, and produce bit-identical [`SimResult`]s (cycle
-/// counts, per-cache statistics, memory contents, error reports,
-/// profiles). Snapshot fingerprints exclude the scheduler, so a snapshot
-/// taken under one restores under the other and continues
-/// bit-identically.
+/// Both schedulers build the same machine and run the same component
+/// loop over it (every pipeline's unit table lowered at elaboration)
+/// with the *same* per-cycle semantics, and produce bit-identical
+/// [`SimResult`]s (cycle counts, per-cache statistics, memory contents,
+/// error reports, profiles). Snapshot fingerprints exclude the
+/// scheduler, so a snapshot taken under one restores under the other
+/// and continues bit-identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
     /// Tick every component and every unit every cycle, and refresh every
@@ -362,7 +367,6 @@ pub(crate) enum Comp {
     Enter(LoopEnter),
     Exit(LoopExit),
     Barrier(BarrierUnit),
-    LineBuf(LineBufUnit),
 }
 
 #[derive(Clone)]
@@ -398,6 +402,86 @@ struct MachineState {
     last_progress: u64,
     last_retired: u64,
     last_retire_progress: u64,
+}
+
+impl MachineState {
+    /// Ticks the datapath components for cycle `now`, instance by
+    /// instance in component order (the order is load-bearing: loop
+    /// counters and decision FIFOs are read and written within a cycle).
+    ///
+    /// With `skip` set, a component is skipped when it provably cannot
+    /// act: its tick would only advance attribution counters, which
+    /// nothing reads while the profiler is off. Each test reads what the
+    /// component's own tick gates on (branch and select pop through
+    /// `front()`, which ignores jamming, so their tests do too). With
+    /// `skip_idle` set, an instance with no work-group in flight holds no
+    /// tokens and is skipped whole. Returns whether any pipeline moved a
+    /// token (glue moves tokens only through channels, which the caller
+    /// observes via [`Channels::touched`]).
+    fn tick_comps(&mut self, launch: &LaunchCtx, skip: bool, skip_idle: bool) -> bool {
+        let (now, chans) = (self.now, &mut self.chans);
+        let per_inst = self.comps.len() / self.dispatchers.len();
+        let mut moved = false;
+        for (inst, d) in self.comps.chunks_mut(per_inst).zip(&self.dispatchers) {
+            if skip_idle && d.active.is_empty() {
+                continue;
+            }
+            for comp in inst {
+                match comp {
+                    Comp::Pipe(p) => {
+                        if skip && p.quiescent(chans) {
+                            continue;
+                        }
+                        moved |= p.tick(now, chans, &mut self.mem, launch, !skip);
+                    }
+                    Comp::Branch(x) => {
+                        if skip && chans[x.inp.0].front().is_none() {
+                            continue;
+                        }
+                        x.tick(chans, &mut self.fifos);
+                    }
+                    Comp::Select(x) => {
+                        if skip
+                            && chans[x.from_taken.0].front().is_none()
+                            && chans[x.from_not_taken.0].front().is_none()
+                        {
+                            continue;
+                        }
+                        x.tick(chans, &mut self.fifos);
+                    }
+                    Comp::Enter(x) => {
+                        if skip
+                            && (!chans[x.out.0].can_push()
+                                || (!chans[x.backedge.0].can_pop()
+                                    && chans[x.outside.0].front().is_none()))
+                        {
+                            continue;
+                        }
+                        x.tick(chans, &mut self.counters);
+                    }
+                    Comp::Exit(x) => {
+                        if skip && (!chans[x.inp.0].can_pop() || !chans[x.out.0].can_push()) {
+                            continue;
+                        }
+                        x.tick(chans, &mut self.counters);
+                    }
+                    Comp::Barrier(x) => {
+                        // Input available, a full group waiting to start
+                        // its release, or a release in progress with room
+                        // downstream.
+                        let can_act = chans[x.inp.0].can_pop()
+                            || (x.releasing == 0 && x.buf.len() as u64 >= x.wg_size)
+                            || (x.releasing > 0 && chans[x.out.0].can_push());
+                        if skip && !can_act {
+                            continue;
+                        }
+                        x.tick(chans);
+                    }
+                }
+            }
+        }
+        moved
+    }
 }
 
 /// A resumable checkpoint of a [`Machine`] plus the global memory it was
@@ -457,16 +541,6 @@ impl fmt::Debug for Snapshot {
     }
 }
 
-/// FNV-1a over a byte string (the machine identity fingerprint).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Runs `kernel`'s datapath `dp` over `nd` against `gm` to completion
 /// with no budgets and no cancellation.
 ///
@@ -505,10 +579,6 @@ pub struct Machine {
     livelock_window: u64,
     /// Skipping enabled: scheduler = Fast and the profiler off.
     skip: bool,
-    /// The lowered tick program: static scaffolding plus the hot-state
-    /// bytes, so it lives outside [`MachineState`];
-    /// [`Machine::restore`] resyncs the bytes.
-    prog: TickProgram,
     fingerprint: u64,
     /// The configured machine's component counts, every instance built.
     configured: Counts,
@@ -636,7 +706,6 @@ impl Machine {
 
         let root = dp.root.clone();
         let mut dispatchers = Vec::with_capacity(built);
-        let mut inst_ends = Vec::with_capacity(built);
         for inst in 0..built {
             b.inst = inst;
             let entry = b.new_chan(2);
@@ -646,26 +715,13 @@ impl Machine {
                 "entry block must have an empty live-in signature"
             );
             b.build_node(&root, entry, retire, None)?;
-            inst_ends.push(b.comps.len());
             dispatchers.push(Dispatcher { entry, retire, cur: None, active: HashMap::new() });
-        }
-        // One observational component per line buffer, after all instances
-        // (indices into `mem.line_bufs`, window-major like the array).
-        for w in 0..windows.len() {
-            for inst in 0..built {
-                b.push_comp(
-                    Comp::LineBuf(LineBufUnit {
-                        lb: w * built + inst,
-                        cycles: CycleBreakdown::default(),
-                    }),
-                    format!("line buffer {w} (inst {inst})"),
-                );
-            }
         }
 
         let Builder { chans, comps, fifos, counters, metas, .. } = b;
-        // Every channel belongs to one instance, and all instances are
-        // wired alike.
+        // Every channel and component belongs to one instance, and all
+        // instances are wired alike.
+        debug_assert_eq!(comps.len() % built, 0, "instances are built alike");
         let configured = Counts {
             chans: chans.len() / built * n_inst,
             caches: plan.total_caches(n_inst),
@@ -684,6 +740,7 @@ impl Machine {
                 chans.len(),
                 metas.clone(),
                 profile::cache_labels(&plan, mem.caches.len()),
+                profile::line_buf_labels(windows.len(), built),
             )
         });
 
@@ -695,7 +752,6 @@ impl Machine {
         // Fast degenerates to dense stepping while the profiler is on: it
         // observes every unit once per simulated cycle.
         let skip = cfg.scheduler == Scheduler::Fast && cfg.profile.is_none();
-        let prog = TickProgram::lower(&comps, &inst_ends);
 
         // The identity a snapshot must match to be restorable here:
         // kernel, machine topology, launch shape, and every configuration
@@ -704,7 +760,8 @@ impl Machine {
         // of the identity — a resumed run may extend the budget, toggle
         // checking, or switch scheduler without changing the semantics
         // (the schedulers are bit-identical by construction).
-        let fingerprint = fnv1a(
+        let fingerprint = soff_obs::fnv1a(
+            soff_obs::FNV_OFFSET,
             format!(
                 "{}|chans={}|comps={}|fifos={}|counters={}|caches={}|linebufs={}|\
                  locals={}|cache={:?}|dram={:?}|inst={}|dw={}|lw={}|faults={:?}|\
@@ -747,7 +804,6 @@ impl Machine {
             deadlock_window,
             livelock_window,
             skip,
-            prog,
             fingerprint,
             configured,
             st: MachineState {
@@ -831,9 +887,6 @@ impl Machine {
         }
         self.st = snap.st.clone();
         gm.rollback_to(&snap.gm);
-        // The tick program's ops are pure scaffolding, but its hot bytes
-        // track the components just replaced wholesale.
-        self.prog.resync(&self.st.comps);
         Ok(())
     }
 
@@ -942,24 +995,16 @@ impl Machine {
                 }
             }
         }
-        // Datapath components, in component order (see `tickvm`). An
-        // instance holds tokens only while it has a work-group in flight;
-        // token-loss and duplication faults break that accounting, so
-        // under any fault plan every instance runs.
-        let dispatchers = &self.st.dispatchers;
-        let faulted = !self.cfg.faults.is_empty();
-        let comp_moved = tickvm::exec_cycle(
-            &mut self.prog,
-            now,
-            &mut self.st.chans,
-            &mut self.st.comps,
-            &mut self.st.fifos,
-            &mut self.st.counters,
-            &mut self.st.mem,
-            &self.launch,
-            self.skip,
-            |g| faulted || dispatchers.get(g).is_none_or(|d| !d.active.is_empty()),
-        );
+        // Datapath components. Token-loss and duplication faults break the
+        // in-flight accounting instance skipping relies on, so under any
+        // fault plan every instance runs.
+        let skip_idle = self.skip && self.cfg.faults.is_empty();
+        let comp_moved = self.st.tick_comps(&self.launch, self.skip, skip_idle);
+        // Line buffers are memory components; the profiler classifies
+        // each one's cycle from its state before the memory tick.
+        if let Some(p) = self.st.profiler.as_mut() {
+            p.observe_line_bufs(&self.st.mem);
+        }
         // Memory subsystem.
         let mem_moved = self.st.mem.tick(now, gm);
         // Work-item counter (§III-B).

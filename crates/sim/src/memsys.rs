@@ -1,6 +1,10 @@
 //! The assembled memory subsystem of one kernel execution (§V, Fig. 9):
-//! caches (per buffer × datapath when possible), local-memory blocks (per
-//! variable × datapath), private memory, and the shared DRAM.
+//! caches (per buffer × datapath when possible), sliding-window line
+//! buffers (per window × datapath), local-memory blocks (per variable ×
+//! datapath), private memory, and the shared DRAM. Line buffers, like
+//! caches, are memory components only: they tick inside
+//! [`MemorySystem::tick`], and the profiler attributes their cycles
+//! from their state here.
 
 use crate::launch::LaunchCtx;
 use soff_datapath::Datapath;

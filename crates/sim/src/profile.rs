@@ -17,8 +17,8 @@
 //!
 //! Exactly one category is incremented per component per machine cycle, so
 //! `busy + issue_stall + output_stall + idle == cycles_observed` holds for
-//! every functional unit, glue device, and cache — the conservation
-//! invariant the property tests assert.
+//! every functional unit, glue device, line buffer, and cache — the
+//! conservation invariant the property tests assert.
 //!
 //! On top of the counters the profiler records a bounded ring buffer of
 //! sampled time series (FIFO depth histograms, per-buffer cache hit/miss
@@ -250,6 +250,14 @@ pub(crate) fn cache_labels(plan: &CachePlan, total: usize) -> Vec<String> {
         .collect()
 }
 
+/// Human-readable labels for the line buffers, window-major like
+/// [`MemorySystem::line_bufs`].
+pub(crate) fn line_buf_labels(windows: usize, instances: usize) -> Vec<String> {
+    (0..windows)
+        .flat_map(|w| (0..instances).map(move |i| format!("line buffer {w} (inst {i})")))
+        .collect()
+}
+
 fn depth_bucket(len: usize) -> usize {
     match len {
         0..=3 => len,
@@ -268,6 +276,8 @@ pub(crate) struct Profiler {
     fifo_hist: Vec<[u64; 6]>,
     cache_cycles: Vec<CycleBreakdown>,
     cache_prev_accesses: Vec<u64>,
+    line_buf_labels: Vec<String>,
+    line_buf_cycles: Vec<CycleBreakdown>,
     samples: VecDeque<Sample>,
     spans: Vec<Span>,
     dropped_spans: u64,
@@ -283,6 +293,7 @@ impl Profiler {
         num_chans: usize,
         comp_labels: Vec<String>,
         cache_labels: Vec<String>,
+        line_buf_labels: Vec<String>,
     ) -> Profiler {
         let num_caches = cache_labels.len();
         let num_comps = comp_labels.len();
@@ -294,6 +305,8 @@ impl Profiler {
             fifo_hist: vec![[0; 6]; num_chans],
             cache_cycles: vec![CycleBreakdown::default(); num_caches],
             cache_prev_accesses: vec![0; num_caches],
+            line_buf_cycles: vec![CycleBreakdown::default(); line_buf_labels.len()],
+            line_buf_labels,
             samples: VecDeque::new(),
             spans: Vec::new(),
             dropped_spans: 0,
@@ -325,6 +338,24 @@ impl Profiler {
             self.spans.push(span);
         } else {
             self.dropped_spans += 1;
+        }
+    }
+
+    /// Classifies each line buffer's cycle from its state before the
+    /// memory tick: fills in flight are busy work, latched requests with
+    /// no fill traffic wait on residency (issue side), undelivered
+    /// responses wait on the datapath (output side).
+    pub(crate) fn observe_line_bufs(&mut self, mem: &MemorySystem) {
+        for (cyc, b) in self.line_buf_cycles.iter_mut().zip(&mem.line_bufs) {
+            if b.inflight_fills() > 0 {
+                cyc.busy += 1;
+            } else if b.latched_requests() > 0 {
+                cyc.issue_stall += 1;
+            } else if b.pending_responses() > 0 {
+                cyc.output_stall += 1;
+            } else {
+                cyc.idle += 1;
+            }
         }
     }
 
@@ -474,10 +505,17 @@ impl Profiler {
                     Comp::Enter(e) => ("loop-enter", e.cycles, Vec::new()),
                     Comp::Exit(x) => ("loop-exit", x.cycles, Vec::new()),
                     Comp::Barrier(b) => ("barrier", b.cycles, Vec::new()),
-                    Comp::LineBuf(u) => ("line-buffer", u.cycles, Vec::new()),
                 };
                 CompProfile { label: label.clone(), kind: kind.to_string(), cycles, units }
             })
+            .chain(self.line_buf_labels.iter().zip(&self.line_buf_cycles).map(|(label, cycles)| {
+                CompProfile {
+                    label: label.clone(),
+                    kind: "line-buffer".to_string(),
+                    cycles: *cycles,
+                    units: Vec::new(),
+                }
+            }))
             .collect();
 
         let cache_profiles: Vec<CacheProfile> = self
@@ -637,9 +675,6 @@ fn rank_bottlenecks(
                     "release blocked by full output",
                 );
             }
-            // Pure attribution observer: stalls it reports are already
-            // charged to the memory units waiting on the line buffer.
-            Comp::LineBuf(_) => {}
         }
     }
 

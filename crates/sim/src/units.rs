@@ -14,6 +14,11 @@
 //! Units are fully pipelined: they hold at most `L_F + 1` work-items and
 //! never stall while holding `≤ L_F` (§IV-C), which the deadlock argument
 //! of §IV-E depends on — `SimConfig::check_invariants` checks it.
+//!
+//! The machine skips a pipeline that [`PipelineSim::quiescent`] reports
+//! idle; inside a ticked pipeline, each unit's activity summary decides
+//! whether it acts. Memory lives in [`crate::memsys`]: line buffers, like
+//! caches, are memory components, not units.
 
 use crate::channel::{ChanId, Channel, Channels};
 use crate::launch::LaunchCtx;
@@ -1007,42 +1012,6 @@ impl PipelineSim {
             }
         }
         moved
-    }
-}
-
-/// Observational stand-in for one shift-register line buffer
-/// ([`soff_mem::LineBuffer`]). All serve/stream behaviour runs inside
-/// `MemorySystem::tick` (the line buffer is a memory component, like a
-/// cache); this component exists so the profiler can attribute the line
-/// buffer's cycles under the conservation invariant and the forensics
-/// can name it. Its tick reads the buffer's state and mutates nothing
-/// the simulation observes, so the fast scheduler skips it
-/// unconditionally (profiling disables skipping, which is exactly when
-/// the attribution matters).
-#[derive(Debug, Clone)]
-pub struct LineBufUnit {
-    /// Index into `MemorySystem::line_bufs`.
-    pub lb: usize,
-    /// Cycle attribution (meaningful under dense stepping / profiling).
-    pub cycles: CycleBreakdown,
-}
-
-impl LineBufUnit {
-    /// Classifies the cycle from the buffer's pre-memory-tick state:
-    /// streaming fills in flight is busy work, latched requests with no
-    /// fill traffic are waiting on residency (issue side), undelivered
-    /// responses are waiting on the datapath (output side).
-    pub fn tick(&mut self, mem: &MemorySystem) {
-        let b = &mem.line_bufs[self.lb];
-        if b.inflight_fills() > 0 {
-            self.cycles.busy += 1;
-        } else if b.latched_requests() > 0 {
-            self.cycles.issue_stall += 1;
-        } else if b.pending_responses() > 0 {
-            self.cycles.output_stall += 1;
-        } else {
-            self.cycles.idle += 1;
-        }
     }
 }
 

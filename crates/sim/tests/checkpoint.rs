@@ -228,9 +228,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     /// Backend switch mid-run: snapshot under one scheduler, restore
-    /// under the other (the tick program's hot bytes must be rebuilt from
-    /// the restored components), finish bit-identically to the
-    /// uninterrupted reference.
+    /// under the other (every skip test must read the restored
+    /// components), finish bit-identically to the uninterrupted
+    /// reference.
     #[test]
     fn checkpoint_survives_backend_switch(
         ki in 0usize..5,

@@ -1,10 +1,10 @@
 //! Properties of the cycle-attribution profiler:
 //!
-//! 1. **Conservation** — for every functional unit, glue component, and
-//!    cache, `busy + issue_stall + output_stall + idle` equals the cycles
-//!    the profiler observed, across kernels covering branches, loops,
-//!    barriers + local memory, and atomics, with randomized launch
-//!    geometry.
+//! 1. **Conservation** — for every functional unit, glue component, line
+//!    buffer, and cache, `busy + issue_stall + output_stall + idle` equals
+//!    the cycles the profiler observed, across kernels covering branches,
+//!    loops, barriers + local memory, atomics, and a line-buffer stencil,
+//!    with randomized launch geometry.
 //! 2. **Determinism** — two profiled runs of the same launch produce
 //!    identical reports (every counter, sample, and span).
 //! 3. **Transparency** — profiling on vs. off changes neither cycle
@@ -15,7 +15,7 @@ use soff_datapath::{Datapath, LatencyModel};
 use soff_ir::ir::NdRange;
 use soff_ir::mem::{ArgValue, GlobalMemory};
 use soff_sim::machine::{run, SimConfig};
-use soff_sim::{ProfileConfig, ProfileReport, SimResult};
+use soff_sim::{CycleBreakdown, ProfileConfig, ProfileReport, SimResult};
 
 fn compile(src: &str) -> (soff_ir::ir::Kernel, Datapath) {
     let parsed = soff_frontend::compile(src, &[]).unwrap();
@@ -26,7 +26,7 @@ fn compile(src: &str) -> (soff_ir::ir::Kernel, Datapath) {
 }
 
 /// Feature-covering kernel zoo. Each takes one int buffer (64 × i32) and
-/// one scalar `n`.
+/// one scalar `n`; the stencil also takes an output buffer (64 × i32).
 const KERNELS: &[&str] = &[
     // Straight-line memory traffic.
     "__kernel void k(__global int* a, int n) {
@@ -57,6 +57,13 @@ const KERNELS: &[&str] = &[
         int i = get_global_id(0);
         atomic_add(&a[i % 8], n);
     }",
+    // Two-buffer sliding-window stencil: the read neighborhood on `a` is
+    // lowered onto a line buffer per instance.
+    "__kernel void k(__global const int* a, __global int* out, int n) {
+        int i = get_global_id(0);
+        int x = i % 62 + 1;
+        out[x] = a[x - 1] + a[x] * n + a[x + 1];
+    }",
 ];
 
 fn run_kernel(
@@ -72,10 +79,15 @@ fn run_kernel(
         gm.buffer_mut(a)
             .write_scalar(i * 4, soff_frontend::types::Scalar::I32, i * 7 % 64);
     }
+    let mut bufs = vec![a];
+    if kernel.params.len() == 3 {
+        bufs.push(gm.alloc(64 * 4));
+    }
+    let mut args: Vec<ArgValue> = bufs.iter().map(|&b| ArgValue::Buffer(b)).collect();
+    args.push(ArgValue::Scalar(5));
     let cfg = SimConfig { num_instances: instances, profile, ..SimConfig::default() };
-    let res = run(&kernel, &dp, &cfg, nd, &[ArgValue::Buffer(a), ArgValue::Scalar(5)], &mut gm)
-        .expect("profiled kernels are fault-free");
-    let bytes = gm.buffer(a).bytes().to_vec();
+    let res = run(&kernel, &dp, &cfg, nd, &args, &mut gm).expect("profiled kernels are fault-free");
+    let bytes = bufs.iter().flat_map(|&b| gm.buffer(b).bytes().to_vec()).collect();
     (res, bytes)
 }
 
@@ -123,7 +135,7 @@ proptest! {
     /// randomized launch geometry and replication.
     #[test]
     fn conservation_holds_for_every_unit(
-        ki in 0usize..4,
+        ki in 0usize..KERNELS.len(),
         wgs in 0usize..3,
         groups in 1u64..5,
         instances in 1u32..3,
@@ -174,6 +186,31 @@ fn profiling_is_transparent() {
         assert_eq!(off.dram, on.dram);
         assert_eq!(off_bytes, on_bytes, "profiling changed memory contents");
     }
+}
+
+/// The line-buffer rows of one fixed stencil launch: each line buffer's
+/// cycle is classified from its state between the component ticks and
+/// the memory tick, and its rows follow the datapath components.
+#[test]
+fn line_buffer_rows_are_pinned() {
+    let (res, _) = run_kernel(KERNELS[4], NdRange::dim1(32, 8), 2, Some(ProfileConfig::default()));
+    let report = res.profile.expect("profiling was enabled");
+    let first = report.comps.iter().position(|c| c.kind == "line-buffer").expect("line buffers");
+    let rows: Vec<(&str, CycleBreakdown)> =
+        report.comps[first..].iter().map(|c| (c.label.as_str(), c.cycles)).collect();
+    assert_eq!(
+        rows,
+        [
+            (
+                "line buffer 0 (inst 0)",
+                CycleBreakdown { busy: 92, issue_stall: 5, output_stall: 3, idle: 80 }
+            ),
+            (
+                "line buffer 0 (inst 1)",
+                CycleBreakdown { busy: 120, issue_stall: 3, output_stall: 1, idle: 56 }
+            ),
+        ]
+    );
 }
 
 #[test]

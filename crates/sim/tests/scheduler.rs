@@ -59,7 +59,7 @@ const KERNELS: &[&str] = &[
     // Two-buffer sliding-window stencil: the read neighborhood on `a` is
     // recognized by `soff_ir::window::detect` and lowered onto a line
     // buffer, so this kernel exercises `MemTarget::LineBuf` routing,
-    // `Comp::LineBuf` attribution, and the `LineBufJam` fault class under
+    // line-buffer attribution, and the `LineBufJam` fault class under
     // both schedulers.
     "__kernel void k(__global const int* a, __global int* out, int n) {
         int i = get_global_id(0);

@@ -30,6 +30,7 @@
 
 use crate::AppResult;
 use soff_baseline::Outcome;
+use soff_obs::{fnv1a, FNV_OFFSET};
 use std::error::Error;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -184,15 +185,6 @@ fn outcome_from_code(code: &str) -> Option<Outcome> {
     })
 }
 
-/// FNV-1a (the project-standard content hash).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 const HEADER_PREFIX: &str = "soff-sweep-journal v1 ";
 
@@ -327,7 +319,7 @@ impl Journal {
     /// [`JournalError::Io`].
     pub fn append(&self, record: &Record) -> Result<(), JournalError> {
         let payload = record.payload();
-        let line = format!("{:016x} {}\n", fnv1a(payload.as_bytes()), payload);
+        let line = format!("{:016x} {}\n", fnv1a(FNV_OFFSET, payload.as_bytes()), payload);
         let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
         if shim_torn_append() {
             let cut = line.len() / 2;
@@ -382,7 +374,7 @@ pub fn replay(path: &Path, identity: u64) -> Result<Vec<Record>, JournalError> {
             let (sum, payload) =
                 line.split_once(' ').ok_or_else(|| "missing checksum".to_string())?;
             let sum = u64::from_str_radix(sum, 16).map_err(|e| format!("bad checksum: {e}"))?;
-            if sum != fnv1a(payload.as_bytes()) {
+            if sum != fnv1a(FNV_OFFSET, payload.as_bytes()) {
                 return Err("checksum mismatch".to_string());
             }
             Record::parse(payload)

@@ -20,10 +20,11 @@
 //! exactly the sequential loop the bench bins used to contain.
 
 use crate::data::Scale;
-use crate::journal::{self, Journal, JournalError, Record};
+use crate::journal::{Journal, JournalError, Record};
 use crate::{execute, App, AppResult};
 use soff_baseline::{Framework, Outcome};
 use soff_exec::TaskError;
+use soff_obs::{fnv1a, FNV_OFFSET};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -105,7 +106,7 @@ pub fn sweep_identity(cells: &[Cell]) -> u64 {
         let (app, fw, scale) = key_strings(cell);
         writeln!(desc, "{app}|{fw}|{scale}").expect("writing to a String cannot fail");
     }
-    journal::fnv1a(desc.as_bytes())
+    fnv1a(FNV_OFFSET, desc.as_bytes())
 }
 
 /// The full `apps` × `frameworks` grid at one scale, app-major (the
@@ -257,7 +258,7 @@ pub fn digest(results: &[CellResult]) -> String {
 /// bins print (`--digest`) so the CI crash-recovery smoke can compare a
 /// killed-and-resumed sweep against an uninterrupted one with `grep`.
 pub fn digest_fingerprint(results: &[CellResult]) -> u64 {
-    journal::fnv1a(digest(results).as_bytes())
+    fnv1a(FNV_OFFSET, digest(results).as_bytes())
 }
 
 #[cfg(test)]

@@ -9,37 +9,31 @@
 //! simplex the sparse one replaced.
 
 use soff_datapath::{Datapath, LatencyModel};
+use soff_obs::{fnv1a, FNV_OFFSET};
 use soff_workloads::all_apps;
 
 /// FNV-1a over `(kernel, block, fifo_extra, lmin)` of every basic
 /// pipeline, in registry, kernel and block order.
 const FIFO_DIGEST: u64 = 0x157a_5f8b_861d_4209;
 
-/// One FNV-1a step per byte.
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 #[test]
 fn registry_fifo_capacities_are_locked() {
     let lat = LatencyModel::default();
-    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let mut digest = FNV_OFFSET;
     let (mut pipelines, mut fifo_total) = (0, 0u64);
     for app in all_apps() {
         let parsed = soff_frontend::compile(app.source, &[]).expect(app.name);
         let module = soff_ir::build::lower(&parsed).expect(app.name);
         for kernel in &module.kernels {
             let dp = Datapath::build(kernel, &lat);
-            fnv(&mut digest, kernel.name.as_bytes());
+            digest = fnv1a(digest, kernel.name.as_bytes());
             for bp in &dp.basics {
-                fnv(&mut digest, &bp.dfg.block.0.to_le_bytes());
-                fnv(&mut digest, &(bp.fifo_extra.len() as u64).to_le_bytes());
+                digest = fnv1a(digest, &bp.dfg.block.0.to_le_bytes());
+                digest = fnv1a(digest, &(bp.fifo_extra.len() as u64).to_le_bytes());
                 for q in &bp.fifo_extra {
-                    fnv(&mut digest, &q.to_le_bytes());
+                    digest = fnv1a(digest, &q.to_le_bytes());
                 }
-                fnv(&mut digest, &bp.lmin.to_le_bytes());
+                digest = fnv1a(digest, &bp.lmin.to_le_bytes());
                 pipelines += 1;
                 fifo_total += bp.fifo_extra.iter().map(|&q| u64::from(q)).sum::<u64>();
             }

@@ -9,6 +9,7 @@
 //! replay, torn tails, staleness — without paying for real simulations.
 
 use soff_baseline::{Framework, Outcome};
+use soff_obs::{fnv1a, FNV_OFFSET};
 use soff_workloads::data::Scale;
 use soff_workloads::journal::{self, JournalError};
 use soff_workloads::sweep::{digest, run_cells_with, sweep_identity, Cell, SweepOptions};
@@ -40,18 +41,9 @@ fn grid() -> Vec<Cell> {
     cells
 }
 
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The synthetic executor: a deterministic function of the cell key.
 fn fake(cell: &Cell) -> AppResult {
-    let h = fnv(format!("{}|{:?}|{:?}", cell.app.name, cell.fw, cell.scale).as_bytes());
+    let h = fnv1a(FNV_OFFSET, format!("{}|{:?}|{:?}", cell.app.name, cell.fw, cell.scale).as_bytes());
     AppResult {
         outcome: Outcome::Ok,
         seconds: (h % 1000) as f64 / 64.0,
