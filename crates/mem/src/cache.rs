@@ -13,12 +13,17 @@
 //! single-ported in-order semantics. Tags/dirty bits are tracked exactly,
 //! so hit/miss timing, write-backs, and the end-of-kernel flush cost are
 //! faithful.
+//!
+//! The sets live in copy-on-write chunks of 64 sets behind an `Arc`, so a
+//! clone (a machine snapshot or restore) copies one handle per chunk, and
+//! a cache copies a chunk only on its first write after the clone.
 
 use crate::dram::Dram;
 use crate::request::{MemOp, MemRequest, MemResponse, PortId};
 use soff_ir::eval;
 use soff_ir::mem::GlobalMemory;
 use std::collections::VecDeque;
+use std::sync::{Arc, LazyLock};
 
 /// Cache geometry and timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,15 +163,49 @@ struct InFlight {
 /// Number of atomic locks per cache (§IV-F2).
 pub const NUM_LOCKS: usize = 16;
 
+/// Sets per copy-on-write chunk: one bit of each of a chunk's two bit
+/// words per set.
+const CHUNK_SETS: usize = 64;
+
+/// Tag of an invalid set. Only the last byte of the address space, cached
+/// in 1-byte lines, has this line address (`install` checks it in debug
+/// builds).
+const INVALID: u64 = u64::MAX;
+
+/// [`CHUNK_SETS`] consecutive sets (528 bytes).
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// Line address held per set, or [`INVALID`].
+    tags: [u64; CHUNK_SETS],
+    /// Bit `i`: set `i` holds a line written since its fill. Only a valid
+    /// set is ever dirty.
+    dirty: u64,
+    /// Bit `i`: set `i` was filled by the prefetcher and not yet
+    /// demand-touched.
+    prefetched: u64,
+}
+
+/// The chunk every set of a new or flushed cache shares.
+static EMPTY: LazyLock<Arc<Chunk>> =
+    LazyLock::new(|| Arc::new(Chunk { tags: [INVALID; CHUNK_SETS], dirty: 0, prefetched: 0 }));
+
+/// The chunk holding `set` and the set's bit within it.
+fn chunk_of(set: usize) -> (usize, usize) {
+    (set / CHUNK_SETS, set % CHUNK_SETS)
+}
+
 /// A direct-mapped write-back cache with per-port in-order responses.
+///
+/// Cloning shares the set array: the clone and the original copy a
+/// chunk only when one of them first writes it (`Arc::make_mut`).
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// Tag per set; `None` = invalid.
-    tags: Vec<Option<u64>>,
-    dirty: Vec<bool>,
-    /// Set was filled by the prefetcher and not yet demand-touched.
-    prefetched: Vec<bool>,
+    /// Number of sets (`bytes / line`).
+    sets: u64,
+    /// The sets, [`CHUNK_SETS`] per chunk; the last chunk's sets past
+    /// `sets` stay invalid.
+    chunks: Vec<Arc<Chunk>>,
     /// One-deep request latch per port.
     latches: Vec<Option<MemRequest>>,
     /// Occupied latches (kept with every latch and take, so the idle test
@@ -214,12 +253,11 @@ impl Cache {
     /// [`CacheConfigError`] when [`CacheConfig::validate`] fails.
     pub fn try_new(cfg: CacheConfig) -> Result<Self, CacheConfigError> {
         cfg.validate()?;
-        let sets = (cfg.bytes / cfg.line as u64) as usize;
+        let sets = cfg.bytes / cfg.line as u64;
         Ok(Cache {
             cfg,
-            tags: vec![None; sets],
-            dirty: vec![false; sets],
-            prefetched: vec![false; sets],
+            sets,
+            chunks: vec![Arc::clone(&EMPTY); (sets as usize).div_ceil(CHUNK_SETS)],
             latches: Vec::new(),
             latched: 0,
             rr: 0,
@@ -325,9 +363,8 @@ impl Cache {
             }
             // Peek: would this request miss while MSHRs are full?
             let req = self.latches[p].as_ref().expect("checked above");
-            let line_addr = req.addr / self.cfg.line as u64;
-            let set = (line_addr % self.tags.len() as u64) as usize;
-            let hit = self.tags[set] == Some(line_addr);
+            let (set, line_addr) = self.locate(req.addr);
+            let hit = self.tag(set) == line_addr;
             let outstanding_misses = self.mshr_occupancy(now);
             if !hit && outstanding_misses >= self.cfg.max_outstanding_misses {
                 self.stats.mshr_stalls += 1;
@@ -337,10 +374,7 @@ impl Cache {
                 // served, so this only counts as no-progress when every
                 // latched request would stall the same way.
                 self.rr = (p + 1) % n;
-                let all_blocked = self.latches.iter().flatten().all(|r| {
-                    let la = r.addr / self.cfg.line as u64;
-                    self.tags[(la % self.tags.len() as u64) as usize] != Some(la)
-                });
+                let all_blocked = self.latches.iter().flatten().all(|r| !self.holds(r.addr));
                 return moved || !all_blocked;
             }
             let req = self.latches[p].take().expect("checked above");
@@ -416,11 +450,7 @@ impl Cache {
                 self.inflight.iter().filter(|f| f.was_miss && f.ready > now).count() as u32;
             debug_assert!(occupied >= self.cfg.max_outstanding_misses, "MSHRs not actually full");
             for r in self.latches.iter().flatten() {
-                let la = r.addr / self.cfg.line as u64;
-                debug_assert!(
-                    self.tags[(la % self.tags.len() as u64) as usize] != Some(la),
-                    "latched hit would have been accepted"
-                );
+                debug_assert!(!self.holds(r.addr), "latched hit would have been accepted");
             }
         }
         self.stats.mshr_stalls += cycles;
@@ -447,36 +477,25 @@ impl Cache {
         let mut ready = now + self.cfg.hit_latency as u64;
         if hit {
             self.stats.hits += 1;
-            if self.prefetched[set] {
+            let (c, i) = chunk_of(set);
+            if self.chunks[c].prefetched & (1 << i) != 0 {
                 self.stats.prefetch_hits += 1;
-                self.prefetched[set] = false;
+                Arc::make_mut(&mut self.chunks[c]).prefetched &= !(1 << i);
             }
         } else {
             self.stats.misses += 1;
-            // Write back a dirty victim first (timing only; data is
-            // functionally in global memory already).
-            if self.tags[set].is_some() && self.dirty[set] {
-                self.stats.writebacks += 1;
-                dram.request_line(now, self.tags[set].expect("occupied"), true);
-            }
+            self.evict(now, set, dram);
             let fill_done = dram.request_line(now, line_addr, false);
             ready = fill_done + self.cfg.hit_latency as u64;
-            self.tags[set] = Some(line_addr);
-            self.dirty[set] = false;
-            self.prefetched[set] = false;
+            self.install(set, line_addr, false);
             // Burst/prefetch: also fill the next sequential line.
             if self.cfg.prefetch_next {
                 let next = line_addr + 1;
-                let nset = (next % self.tags.len() as u64) as usize;
-                if self.tags[nset] != Some(next) {
-                    if self.tags[nset].is_some() && self.dirty[nset] {
-                        self.stats.writebacks += 1;
-                        dram.request_line(now, self.tags[nset].expect("occupied"), true);
-                    }
+                let nset = (next % self.sets) as usize;
+                if self.tag(nset) != next {
+                    self.evict(now, nset, dram);
                     dram.request_line(now, next, false);
-                    self.tags[nset] = Some(next);
-                    self.dirty[nset] = false;
-                    self.prefetched[nset] = true;
+                    self.install(nset, next, true);
                 }
             }
         }
@@ -486,7 +505,7 @@ impl Cache {
             MemOp::Load => gm.read(req.addr, req.ty),
             MemOp::Store { value } => {
                 gm.write(req.addr, req.ty, *value);
-                self.dirty[set] = true;
+                self.mark_dirty(set);
                 0
             }
             MemOp::Atomic { op, operands } => {
@@ -499,7 +518,7 @@ impl Cache {
                 let old = gm.read(req.addr, req.ty);
                 let (new, ret) = eval::eval_atomic(*op, req.ty, old, operands);
                 gm.write(req.addr, req.ty, new);
-                self.dirty[set] = true;
+                self.mark_dirty(set);
                 ret
             }
         };
@@ -513,6 +532,58 @@ impl Cache {
             self.miss_readies.push_back(ready);
         }
         self.inflight.push_back(InFlight { port, ready, value, was_miss: !hit });
+    }
+
+    /// The set `addr`'s line maps to, and that line's address.
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line_addr = addr / self.cfg.line as u64;
+        ((line_addr % self.sets) as usize, line_addr)
+    }
+
+    /// The line address `set` holds, or [`INVALID`].
+    fn tag(&self, set: usize) -> u64 {
+        let (c, i) = chunk_of(set);
+        self.chunks[c].tags[i]
+    }
+
+    /// Whether `addr`'s line is resident.
+    fn holds(&self, addr: u64) -> bool {
+        let (set, line_addr) = self.locate(addr);
+        self.tag(set) == line_addr
+    }
+
+    /// Writes back `set`'s line if it is dirty (timing only; the data is
+    /// functionally in global memory already).
+    fn evict(&mut self, now: u64, set: usize, dram: &mut Dram) {
+        let (c, i) = chunk_of(set);
+        let chunk = &self.chunks[c];
+        if chunk.dirty & (1 << i) != 0 {
+            self.stats.writebacks += 1;
+            dram.request_line(now, chunk.tags[i], true);
+        }
+    }
+
+    /// Makes `set` hold the clean line `line_addr`.
+    fn install(&mut self, set: usize, line_addr: u64, prefetched: bool) {
+        debug_assert_ne!(line_addr, INVALID, "line address collides with the invalid tag");
+        let (c, i) = chunk_of(set);
+        let chunk = Arc::make_mut(&mut self.chunks[c]);
+        chunk.tags[i] = line_addr;
+        chunk.dirty &= !(1 << i);
+        if prefetched {
+            chunk.prefetched |= 1 << i;
+        } else {
+            chunk.prefetched &= !(1 << i);
+        }
+    }
+
+    /// Marks `set`'s line written, copying its chunk only if the line was
+    /// clean.
+    fn mark_dirty(&mut self, set: usize) {
+        let (c, i) = chunk_of(set);
+        if self.chunks[c].dirty & (1 << i) == 0 {
+            Arc::make_mut(&mut self.chunks[c]).dirty |= 1 << i;
+        }
     }
 
     /// Whether any request is latched or in flight.
@@ -544,19 +615,17 @@ impl Cache {
         self.fault_jam_ports || self.fault_withhold_grants
     }
 
-    /// Flushes all dirty lines (end-of-kernel, §III-B); returns the cycle
-    /// the flush completes.
+    /// Flushes all dirty lines (end-of-kernel, §III-B) and invalidates
+    /// every set; returns the cycle the flush completes.
     pub fn flush(&mut self, now: u64, dram: &mut Dram) -> u64 {
         let mut done = now;
-        for set in 0..self.tags.len() {
-            if self.tags[set].is_some() && self.dirty[set] {
+        for chunk in &self.chunks {
+            for _ in 0..chunk.dirty.count_ones() {
                 self.stats.writebacks += 1;
                 done = done.max(dram.request_line_any(now, true));
-                self.dirty[set] = false;
             }
-            self.tags[set] = None;
-            self.prefetched[set] = false;
         }
+        self.chunks.fill(Arc::clone(&EMPTY));
         done
     }
 }
@@ -844,6 +913,48 @@ mod tests {
         assert_eq!(dense.rr, replayed.rr);
         assert_eq!(dense.latched_requests(), replayed.latched_requests());
     }
+
+    /// Chunks that are not the same allocation.
+    fn unshared(a: &Cache, b: &Cache) -> usize {
+        a.chunks.iter().zip(&b.chunks).filter(|(x, y)| !Arc::ptr_eq(x, y)).count()
+    }
+
+    /// A clone shares every chunk; a miss copies the one chunk it fills, a
+    /// store to a resident line changes only that line's dirty bit, and a
+    /// flush points every chunk back at the shared empty one.
+    #[test]
+    fn clones_share_chunks_until_written() {
+        let (mut c, mut d, mut gm, buf) = setup();
+        let p = c.add_port();
+        c.request(p, load(global_addr(buf, 0)));
+        run_until_response(&mut c, &mut d, &mut gm, p, 0);
+        let cut = c.clone();
+        assert_eq!(unshared(&c, &cut), 0);
+
+        // Set 100 lives in chunk 1, at bit 36.
+        let addr = global_addr(buf, 100 * 64);
+        c.request(p, load(addr));
+        run_until_response(&mut c, &mut d, &mut gm, p, 1000);
+        assert_eq!(unshared(&c, &cut), 1);
+        assert!(!Arc::ptr_eq(&c.chunks[1], &cut.chunks[1]));
+
+        let resident = c.clone();
+        c.request(p, store(addr + 4, 9));
+        run_until_response(&mut c, &mut d, &mut gm, p, 2000);
+        assert_eq!(c.stats.hits, 1);
+        assert_eq!(unshared(&c, &resident), 1);
+        let (old, new) = (&resident.chunks[1], &c.chunks[1]);
+        assert_eq!(new.tags, old.tags);
+        assert_eq!(new.prefetched, old.prefetched);
+        assert_eq!(new.dirty ^ old.dirty, 1 << 36);
+
+        c.flush(3000, &mut d);
+        assert_eq!(c.stats.writebacks, 1);
+        assert!(c.chunks.iter().all(|ch| Arc::ptr_eq(ch, &EMPTY)));
+        // The clones still hold what they saw.
+        assert_eq!(resident.tag(100), addr / 64);
+        assert_eq!(cut.tag(100), INVALID);
+    }
 }
 
 #[cfg(test)]
@@ -922,5 +1033,121 @@ mod fairness_tests {
         let wb = c.stats.writebacks;
         c.flush(t + 1, &mut d);
         assert_eq!(c.stats.writebacks, wb);
+    }
+}
+
+#[cfg(test)]
+mod clone_tests {
+    use super::*;
+    use crate::dram::DramConfig;
+    use proptest::prelude::*;
+    use soff_frontend::builtins::AtomicOp;
+    use soff_frontend::types::Scalar;
+    use soff_ir::mem::global_addr;
+
+    /// A cache with the DRAM and memory it runs against.
+    #[derive(Clone)]
+    struct Rig {
+        cache: Cache,
+        dram: Dram,
+        gm: GlobalMemory,
+    }
+
+    /// One request: (port, kind, line, word, value).
+    type Op = (usize, u8, u64, u64, u64);
+
+    fn request(buf: u32, (_, kind, line, word, value): Op) -> MemRequest {
+        let op = match kind {
+            0 => MemOp::Load,
+            1 => MemOp::Store { value },
+            _ => MemOp::Atomic { op: AtomicOp::Add, operands: vec![value] },
+        };
+        MemRequest { op, addr: global_addr(buf, line * 64 + word * 4), ty: Scalar::I32, wi: 0, wg: 0 }
+    }
+
+    impl Rig {
+        /// Latches `feed`, ticks cycle `t`, and logs every response.
+        fn cycle(&mut self, t: u64, feed: &[(u64, PortId, MemRequest)], out: &mut Vec<(u64, usize, u64)>) {
+            for (_, p, r) in feed {
+                self.cache.request(*p, r.clone());
+            }
+            self.cache.tick(t, &mut self.dram, &mut self.gm);
+            for p in 0..self.cache.num_ports() {
+                while let Some(r) = self.cache.pop_response(PortId(p)) {
+                    out.push((t, p, r.value));
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// A clone taken at any cycle and fed the requests the original
+        /// received after it reproduces the original's responses, cache
+        /// and DRAM statistics, flush and memory bytes, however the two
+        /// (and the other clones) write the chunks they share.
+        #[test]
+        fn clones_replay_the_original(
+            sets in prop_oneof![Just(48u64), Just(256u64)],
+            prefetch_next in any::<bool>(),
+            mshrs in 1u32..6,
+            ports in 1usize..4,
+            ops in prop::collection::vec((0usize..3, 0u8..3, 0u64..384, 0u64..16, 0u64..1000), 1..120),
+            cuts in prop::collection::vec(0u64..600, 1..4),
+        ) {
+            let cfg = CacheConfig {
+                bytes: sets * 64,
+                max_outstanding_misses: mshrs,
+                prefetch_next,
+                ..CacheConfig::default()
+            };
+            let mut gm = GlobalMemory::new();
+            let buf = gm.alloc(1 << 16);
+            let mut rig = Rig { cache: Cache::new(cfg), dram: Dram::new(DramConfig::default()), gm };
+            let mut pending = vec![VecDeque::new(); ports];
+            for op in &ops {
+                pending[op.0 % ports].push_back(request(buf, *op));
+            }
+            let ids: Vec<PortId> = (0..ports).map(|_| rig.cache.add_port()).collect();
+
+            // The original: every port latches its next request as soon as
+            // it can, until all are answered.
+            let (mut fed, mut out, mut clones) = (Vec::new(), Vec::new(), Vec::new());
+            let mut t = 0;
+            while pending.iter().any(|q| !q.is_empty()) || !rig.cache.is_idle() {
+                if cuts.contains(&t) {
+                    clones.push((t, fed.len(), out.len(), rig.clone()));
+                }
+                let first = fed.len();
+                for (q, &p) in pending.iter_mut().zip(&ids) {
+                    if rig.cache.can_request(p) {
+                        if let Some(r) = q.pop_front() {
+                            fed.push((t, p, r));
+                        }
+                    }
+                }
+                rig.cycle(t, &fed[first..], &mut out);
+                t += 1;
+            }
+            let done = rig.cache.flush(t, &mut rig.dram);
+
+            for (cut, fed_at, out_at, mut clone) in clones {
+                let mut replayed = Vec::new();
+                let mut next = fed_at;
+                for now in cut..t {
+                    let first = next;
+                    while fed.get(next).is_some_and(|f| f.0 == now) {
+                        next += 1;
+                    }
+                    clone.cycle(now, &fed[first..next], &mut replayed);
+                }
+                prop_assert_eq!(clone.cache.flush(t, &mut clone.dram), done);
+                prop_assert_eq!(&replayed[..], &out[out_at..], "responses after cycle {cut} differ");
+                prop_assert_eq!(clone.cache.stats, rig.cache.stats);
+                prop_assert_eq!(clone.dram.stats, rig.dram.stats);
+                prop_assert_eq!(clone.gm.buffer(buf).bytes(), rig.gm.buffer(buf).bytes());
+            }
+        }
     }
 }

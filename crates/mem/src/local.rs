@@ -36,6 +36,9 @@ pub struct LocalBlock {
     /// need not scan the ports).
     latched: usize,
     out: Vec<VecDeque<(u64, MemResponse)>>,
+    /// Banks granted so far in the current `tick` (kept here so a tick
+    /// allocates nothing).
+    bank_used: Vec<bool>,
     /// Statistics.
     pub stats: LocalStats,
 }
@@ -53,6 +56,7 @@ impl LocalBlock {
             latches: vec![None; num_units.max(1)],
             latched: 0,
             out: vec![VecDeque::new(); num_units.max(1)],
+            bank_used: vec![false; banks as usize],
             stats: LocalStats::default(),
         }
     }
@@ -129,18 +133,18 @@ impl LocalBlock {
             return false;
         }
         let mut moved = false;
-        let mut bank_used = vec![false; self.banks as usize];
+        self.bank_used.fill(false);
         for p in 0..self.latches.len() {
             let Some(req) = self.latches[p].as_ref() else { continue };
             // Word-addressed banking: the low log2(banks) bits of the word
             // address select the bank (Fig. 10).
             let (_, offset) = soff_ir::mem::split_local(req.addr);
             let bank = ((offset / 4) % self.banks as u64) as usize;
-            if bank_used[bank] {
+            if self.bank_used[bank] {
                 self.stats.bank_conflicts += 1;
                 continue;
             }
-            bank_used[bank] = true;
+            self.bank_used[bank] = true;
             let req = self.latches[p].take().expect("checked above");
             self.latched -= 1;
             self.stats.accesses += 1;

@@ -380,7 +380,8 @@ struct Dispatcher {
 }
 
 /// The complete mutable state of a machine: everything the clock loop
-/// writes. [`Machine::snapshot`] deep-copies this struct (construction
+/// writes. [`Machine::snapshot`] clones this struct, deep except for the
+/// caches' set chunks, which it shares copy-on-write (construction
 /// from `(kernel, datapath, config, launch)` is deterministic, so the
 /// static scaffolding — channel topology, unit wiring, port assignments —
 /// never needs to be serialized; rebuilding it reproduces it exactly).
@@ -490,7 +491,9 @@ impl MachineState {
 /// counters, and an image of global memory. The image is copy-on-write
 /// per buffer ([`GlobalMemory`]): taking it copies buffer handles, and a
 /// buffer's bytes are copied only when the running machine next writes
-/// that buffer.
+/// that buffer. Cache sets are shared the same way in chunks of 64 sets
+/// ([`soff_mem::Cache`]), so a snapshot costs the buffers and chunks the
+/// running machine writes next; the rest of the state is deep-copied.
 ///
 /// Restoring a snapshot into a machine built from the same kernel,
 /// datapath, launch, and configuration (checked via a structural

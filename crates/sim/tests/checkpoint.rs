@@ -264,6 +264,79 @@ proptest! {
     }
 }
 
+/// Kernels that store and miss throughout a launch, so the machine
+/// writes cache sets after any cut, each with its buffer's length in
+/// ints: a strided walk over 128 KB (twice a cache, so misses evict dirty
+/// lines across every chunk of the set array), and the zoo's
+/// straight-line and atomic kernels.
+const WRITERS: &[(&str, u64)] = &[
+    (
+        "__kernel void k(__global int* a, int n) {
+            int i = get_global_id(0);
+            for (int j = 0; j < n; j++) {
+                int p = (i * 1031 + j * 4099) % 32768;
+                a[p] = a[(p + 16384) % 32768] + j;
+            }
+        }",
+        32_768,
+    ),
+    (KERNELS[0], 64),
+    (KERNELS[3], 64),
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    /// Serve's slot recovery: the original machine runs on past its cut,
+    /// and the cut's snapshot is then restored into a fresh machine,
+    /// rolling memory back. Both runs must end exactly as the
+    /// uninterrupted run does, although the original, the snapshot and
+    /// the restored machine share state the first two write after the
+    /// cut.
+    #[test]
+    fn snapshot_survives_the_original_running_on(
+        ki in 0usize..WRITERS.len(),
+        groups in 1u64..5,
+        permille in 0u64..1_000,
+    ) {
+        let (src, words) = WRITERS[ki];
+        let (kernel, dp) = compile(src);
+        let nd = NdRange::dim1(groups * 8, 8);
+        let setup = || {
+            let mut gm = GlobalMemory::new();
+            let a = gm.alloc(words as usize * 4);
+            for i in 0..words {
+                gm.buffer_mut(a).write_scalar(i * 4, soff_frontend::types::Scalar::I32, i * 7 % 64);
+            }
+            (gm, [ArgValue::Buffer(a), ArgValue::Scalar(5)])
+        };
+        for sched in [Scheduler::Dense, Scheduler::Fast] {
+            let cfg = config(sched, FaultPlan::none(), None);
+            let (mut gm, args) = setup();
+            let straight = Machine::new(&kernel, &dp, &cfg, nd, &args).unwrap().run(&mut gm).unwrap();
+            let bytes = gm.buffer(0).bytes().to_vec();
+            let cut = 1 + straight.compute_cycles * permille / 1_000;
+
+            let (mut gm, args) = setup();
+            let mut original = Machine::new(&kernel, &dp, &cfg, nd, &args).unwrap();
+            let ctl = RunControl { cycle_deadline: Some(cut), ..RunControl::default() };
+            let snapshot = match original.run_with(&mut gm, &ctl) {
+                Err(SimError::DeadlineExceeded { snapshot, .. }) => snapshot,
+                other => panic!("{sched:?}: expected a cut at {cut}, got {other:?}"),
+            };
+            let ran_on = original.run(&mut gm).unwrap();
+            prop_assert_eq!(&ran_on, &straight, "{:?}: the original after cut {}", sched, cut);
+            prop_assert_eq!(gm.buffer(0).bytes(), &bytes[..]);
+
+            let mut restored = Machine::new(&kernel, &dp, &cfg, nd, &args).unwrap();
+            restored.restore(&snapshot, &mut gm).unwrap();
+            let resumed = restored.run(&mut gm).unwrap();
+            prop_assert_eq!(&resumed, &straight, "{:?}: the snapshot of cut {}", sched, cut);
+            prop_assert_eq!(gm.buffer(0).bytes(), &bytes[..]);
+        }
+    }
+}
+
 /// Regression: a cycle deadline landing *inside or exactly on* a
 /// quiescent-gap boundary must produce the same slice sequence under
 /// every scheduler — each cut lands exactly on its deadline cycle (the
