@@ -37,6 +37,7 @@
 //! file.
 
 use soff_bench::json::{write_bench_rows, Json};
+use soff_bench::soak::{self, JobSpec};
 use soff_obs::Registry;
 use soff_serve::{
     chaos::{stall_all_channels, ChaosConfig, ChaosEvent, ChaosSchedule},
@@ -50,73 +51,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Three kernel variants (as in `serve_soak`) so the chaos run exercises
-/// more than one disk-store object; variant 7 is reserved for the heal
-/// build.
-fn source(variant: u64) -> String {
-    format!(
-        r#"
-__kernel void chaos{variant}(__global float* a, int iters, float bias) {{
-    int i = get_global_id(0);
-    float x = a[i];
-    for (int k = 0; k < iters; k++) {{
-        x = x * 0.99{variant}f + bias;
-    }}
-    a[i] = x;
-}}
-"#
-    )
-}
+/// Kernel-name prefix of this soak's job mix ([`soak::source`]);
+/// variant 7 is reserved for the heal build.
+const KERNEL: &str = "chaos";
 
-/// splitmix64 (project-standard seedable stream) for the job mix.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-
-    fn unit(&mut self) -> f32 {
-        ((self.next() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) as f32
-    }
-}
-
-#[derive(Clone, Copy)]
-struct JobSpec {
-    n: usize,
-    iters: i32,
-    bias: f32,
-    input_seed: u64,
-}
-
-/// The job mix for one tenant, a pure function of (seed, tenant index) —
-/// identical across the reference and chaos phases.
-fn tenant_jobs(seed: u64, tenant: usize, jobs: usize) -> Vec<JobSpec> {
-    let mut rng = Rng(seed ^ (tenant as u64).wrapping_mul(0x517c_c1b7_2722_0a95));
-    (0..jobs)
-        .map(|_| JobSpec {
-            n: (16 + 4 * rng.below(12)) as usize,
-            // Long enough that every job spans several slices (so slot
-            // deaths usually hit a checkpointed job).
-            iters: (150 + rng.below(200)) as i32,
-            bias: rng.unit() * 0.25,
-            input_seed: rng.next(),
-        })
-        .collect()
-}
-
-fn input_bytes(spec: &JobSpec) -> Vec<u8> {
-    let mut rng = Rng(spec.input_seed);
-    (0..spec.n).flat_map(|_| rng.unit().to_le_bytes()).collect()
-}
+/// Fewest loop iterations a job runs: long enough that every job spans
+/// several slices (so slot deaths usually hit a checkpointed job).
+const MIN_ITERS: u64 = 150;
 
 /// What a job injection does to its first attempt(s).
 #[derive(Clone, Copy, PartialEq)]
@@ -138,11 +79,11 @@ struct JobResult {
 /// instantiates, so `stall_all_channels` wedges every channel exactly.
 fn probe_nchans(variant: u64, spec: &JobSpec) -> usize {
     let device = soff_serve::Device::system_a();
-    let src = source(variant);
+    let src = soak::source(KERNEL, variant);
     let program = soff_runtime::Program::build(&src, &[], &device).expect("probe build");
     let mut ctx = soff_runtime::Context::new(device);
     let buf = ctx.create_buffer(spec.n * 4);
-    let mut k = program.kernel(&format!("chaos{variant}")).expect("probe kernel");
+    let mut k = program.kernel(&format!("{KERNEL}{variant}")).expect("probe kernel");
     k.set_arg_buffer(0, buf).set_arg_i32(1, spec.iters).set_arg_f32(2, spec.bias);
     let nd = NdRange::dim1(spec.n as u64, 4);
     let args = ctx.prepare_launch(&k, nd).expect("probe launch");
@@ -203,11 +144,10 @@ fn run_tenant(
     injections: &[Injection],
     journal: Option<&ChaosJournal>,
 ) -> Vec<JobResult> {
-    let src = source(variant);
-    let program = sess.build_program(&src, &[]).expect("soak build");
-    let name = format!("chaos{variant}");
+    let program = sess.build_program(&soak::source(KERNEL, variant), &[]).expect("soak build");
+    let name = format!("{KERNEL}{variant}");
 
-    let inputs: Vec<Vec<u8>> = specs.iter().map(input_bytes).collect();
+    let inputs: Vec<Vec<u8>> = specs.iter().map(soak::input_bytes).collect();
     let buffers: Vec<soff_serve::Buffer> = specs
         .iter()
         .zip(&inputs)
@@ -385,7 +325,7 @@ fn run_phase(
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..o.tenants)
             .map(|t| {
-                let specs = tenant_jobs(o.seed, t, o.jobs);
+                let specs = soak::tenant_jobs(o.seed, t, o.jobs, MIN_ITERS);
                 let inj: Vec<Injection> = (0..o.jobs)
                     .map(|j| injections.get(&(t, j)).copied().unwrap_or(Injection::None))
                     .collect();
@@ -528,7 +468,7 @@ fn main() {
     journal::set_journal_faults(None);
     {
         let healer = chaos_server.connect("healer").expect("connect healer");
-        healer.build_program(&source(7), &[]).expect("heal build");
+        healer.build_program(&soak::source(KERNEL, 7), &[]).expect("heal build");
         healer.close();
     }
     let health = chaos_server.health();

@@ -36,6 +36,7 @@
 //! run writes no file.
 
 use soff_bench::json::{write_bench_rows, Json};
+use soff_bench::soak::{self, JobSpec};
 use soff_obs::{
     fnv1a, pair_spans_with_drops, ChromeTraceWriter, SpanKind, TraceBuf, FNV_OFFSET,
 };
@@ -48,76 +49,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Three kernel variants so a soak populates the compile store with more
-/// than one object and a restart exercises more than one disk hit.
-fn source(variant: u64) -> String {
-    format!(
-        r#"
-__kernel void soak{variant}(__global float* a, int iters, float bias) {{
-    int i = get_global_id(0);
-    float x = a[i];
-    for (int k = 0; k < iters; k++) {{
-        x = x * 0.99{variant}f + bias;
-    }}
-    a[i] = x;
-}}
-"#
-    )
-}
+/// Kernel-name prefix of this soak's job mix ([`soak::source`]).
+const KERNEL: &str = "soak";
 
-// ------------------------------------------------------------- determinism
-
-/// splitmix64: the workload generator. Deliberately dependency-free so
-/// the soak's job mix is reproducible from `--seed` alone, forever.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, bound)`.
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-
-    /// Uniform float in `[-1, 1)`.
-    fn unit(&mut self) -> f32 {
-        ((self.next() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) as f32
-    }
-}
-
-// ------------------------------------------------------------------- jobs
-
-#[derive(Clone, Copy)]
-struct JobSpec {
-    n: usize,
-    iters: i32,
-    bias: f32,
-    input_seed: u64,
-}
-
-/// The job mix for one tenant, derived only from (seed, tenant index).
-fn tenant_jobs(seed: u64, tenant: usize, jobs: usize) -> Vec<JobSpec> {
-    let mut rng = Rng(seed ^ (tenant as u64).wrapping_mul(0x517c_c1b7_2722_0a95));
-    (0..jobs)
-        .map(|_| JobSpec {
-            n: (16 + 4 * rng.below(12)) as usize,
-            iters: (100 + rng.below(200)) as i32,
-            bias: rng.unit() * 0.25,
-            input_seed: rng.next(),
-        })
-        .collect()
-}
-
-fn input_bytes(spec: &JobSpec) -> Vec<u8> {
-    let mut rng = Rng(spec.input_seed);
-    (0..spec.n).flat_map(|_| rng.unit().to_le_bytes()).collect()
-}
+/// Fewest loop iterations a job runs.
+const MIN_ITERS: u64 = 100;
 
 /// What one tenant thread brings home.
 struct TenantRun {
@@ -133,9 +69,8 @@ struct TenantRun {
 /// a burst; a rejected enqueue (typed `QueueFull` / `QuotaExceeded`,
 /// never a panic) waits out the oldest outstanding job and retries.
 fn run_tenant(sess: &Session, specs: &[JobSpec], variant: u64) -> TenantRun {
-    let src = source(variant);
-    let program = sess.build_program(&src, &[]).expect("soak build");
-    let name = format!("soak{variant}");
+    let program = sess.build_program(&soak::source(KERNEL, variant), &[]).expect("soak build");
+    let name = format!("{KERNEL}{variant}");
     let mut digest = FNV_OFFSET;
     let mut turnarounds = Vec::with_capacity(specs.len());
     let mut backpressure_waits = 0u64;
@@ -146,7 +81,7 @@ fn run_tenant(sess: &Session, specs: &[JobSpec], variant: u64) -> TenantRun {
         .iter()
         .map(|spec| {
             let buf = sess.create_buffer(spec.n * 4).expect("create buffer");
-            sess.write_buffer(buf, &input_bytes(spec)).expect("write buffer");
+            sess.write_buffer(buf, &soak::input_bytes(spec)).expect("write buffer");
             buf
         })
         .collect();
@@ -300,8 +235,7 @@ fn write_merged_trace(
     for (k, jp) in profiles.iter().enumerate() {
         let pid = 100 + k as u64;
         w.process_name(pid, &format!("sim {} job {} (cycles as µs)", jp.tenant, jp.seq))?;
-        let (wr, first) = w.parts();
-        soff_sim::chrome_trace_events(&jp.report, wr, pid, 0, first)?;
+        soff_sim::chrome_trace_events(&jp.report, &mut w, pid, 0)?;
     }
     let mut out = w.finish()?;
     out.flush()?;
@@ -355,7 +289,7 @@ fn main() {
         let handles: Vec<_> = (0..o.tenants)
             .map(|t| {
                 let server = &server;
-                let specs = tenant_jobs(o.seed, t, o.jobs);
+                let specs = soak::tenant_jobs(o.seed, t, o.jobs, MIN_ITERS);
                 s.spawn(move || {
                     let sess = server.connect(&format!("t{t}")).expect("connect");
                     let run = run_tenant(&sess, &specs, (t % 3) as u64);

@@ -6,6 +6,7 @@
 //! JSON: strings escaped, floats via Rust's shortest round-trip `{}`
 //! formatting, `NaN`/infinities as `null` (JSON has no spelling for them).
 
+use soff_obs::chrome::esc;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -42,22 +43,6 @@ impl Json {
     }
 }
 
-fn escape(s: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\t' => f.write_str("\\t")?,
-            '\r' => f.write_str("\\r")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    f.write_str("\"")
-}
-
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -66,7 +51,7 @@ impl fmt::Display for Json {
             Json::Int(i) => write!(f, "{i}"),
             Json::Num(x) if x.is_finite() => write!(f, "{x}"),
             Json::Num(_) => f.write_str("null"),
-            Json::Str(s) => escape(s, f),
+            Json::Str(s) => write!(f, "\"{}\"", esc(s)),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -83,9 +68,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    escape(k, f)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
+                    write!(f, "\"{}\":{v}", esc(k))?;
                 }
                 f.write_str("}")
             }

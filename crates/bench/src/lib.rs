@@ -12,6 +12,7 @@ use soff_workloads::sweep::{run_cells, Cell, SweepOptions};
 use soff_workloads::{all_apps, data::Scale, App, AppResult};
 
 pub mod json;
+pub mod soak;
 
 /// Parses the shared `--jobs N` flag of the bench bins; the default is
 /// the machine's available parallelism. `--jobs 1` reproduces the

@@ -323,21 +323,12 @@ impl Cache {
 
     /// Advances the cache by one cycle: completes at most one in-flight
     /// request and accepts at most one latched request (round-robin).
-    ///
-    /// Returns whether the cache made *observable progress* this cycle —
-    /// delivered a response or accepted a request. A `false` return also
-    /// guarantees the next cycle would behave identically except for the
-    /// round-robin rotation and stall counters, which
-    /// [`Cache::replay_blocked`] can reproduce in closed form; the
-    /// fast scheduler relies on this to fast-forward idle gaps.
-    pub fn tick(&mut self, now: u64, dram: &mut Dram, gm: &mut GlobalMemory) -> bool {
-        let mut moved = false;
+    pub fn tick(&mut self, now: u64, dram: &mut Dram, gm: &mut GlobalMemory) {
         // Single-ported SRAM: one response per cycle, strictly in order.
         if let Some(head) = self.inflight.front() {
             if head.ready <= now {
                 let h = self.inflight.pop_front().expect("front checked");
                 self.out[h.port].push_back(MemResponse { value: h.value });
-                moved = true;
             }
         }
 
@@ -350,12 +341,9 @@ impl Cache {
 
         // Round-robin accept.
         if self.fault_withhold_grants {
-            return moved;
+            return;
         }
         let n = self.latches.len();
-        if n == 0 {
-            return moved;
-        }
         for k in 0..n {
             let p = (self.rr + k) % n;
             if self.latches[p].is_none() {
@@ -367,23 +355,17 @@ impl Cache {
             let hit = self.tag(set) == line_addr;
             let outstanding_misses = self.mshr_occupancy(now);
             if !hit && outstanding_misses >= self.cfg.max_outstanding_misses {
-                self.stats.mshr_stalls += 1;
                 // A blocked miss blocks the port (in-order), but the
-                // arbiter moves on to other ports next cycle. The
-                // rotation can land on a port whose request *would* be
-                // served, so this only counts as no-progress when every
-                // latched request would stall the same way.
-                self.rr = (p + 1) % n;
-                let all_blocked = self.latches.iter().flatten().all(|r| !self.holds(r.addr));
-                return moved || !all_blocked;
+                // arbiter moves on to other ports next cycle.
+                self.stats.mshr_stalls += 1;
+            } else {
+                let req = self.latches[p].take().expect("checked above");
+                self.latched -= 1;
+                self.accept(now, p, req, hit, set, line_addr, dram, gm);
             }
-            let req = self.latches[p].take().expect("checked above");
-            self.latched -= 1;
-            self.accept(now, p, req, hit, set, line_addr, dram, gm);
             self.rr = (p + 1) % n;
-            return true;
+            return;
         }
-        moved
     }
 
     /// MSHR occupancy at `now`: misses accepted but not yet aged past
@@ -408,57 +390,6 @@ impl Cache {
         let incremental = self.miss_readies.iter().filter(|&&r| r > now).count();
         let recount = self.inflight.iter().filter(|f| f.was_miss && f.ready > now).count();
         incremental == recount
-    }
-
-    /// The cycle the next in-order response becomes deliverable, if any
-    /// request is in flight.
-    pub fn next_response_ready(&self) -> Option<u64> {
-        self.inflight.front().map(|f| f.ready)
-    }
-
-    /// Replays `cycles` consecutive no-progress cycles starting after
-    /// `now` in closed form: arbitration/MSHR stall counters and the
-    /// round-robin rotation advance exactly as `cycles` dense
-    /// [`Cache::tick`] calls would, without accepting or delivering
-    /// anything.
-    ///
-    /// Only valid when the tick at `now` reported no progress and no
-    /// response becomes deliverable within the window (both hold by
-    /// construction when the fast scheduler fast-forwards).
-    pub fn replay_blocked(&mut self, now: u64, cycles: u64) {
-        if cycles == 0 {
-            return;
-        }
-        debug_assert!(
-            self.inflight.front().is_none_or(|f| f.ready > now + cycles),
-            "replay window overlaps a response delivery"
-        );
-        let waiting = self.latched as u64;
-        if waiting > 1 {
-            self.stats.arbitration_stalls += (waiting - 1) * cycles;
-        }
-        if self.fault_withhold_grants || waiting == 0 {
-            return;
-        }
-        // Every latched request is a miss against full MSHRs (otherwise
-        // the preceding tick would have reported progress), so each
-        // replayed cycle charges one MSHR stall to the cyclically-next
-        // occupied port and rotates past it.
-        #[cfg(debug_assertions)]
-        {
-            let occupied =
-                self.inflight.iter().filter(|f| f.was_miss && f.ready > now).count() as u32;
-            debug_assert!(occupied >= self.cfg.max_outstanding_misses, "MSHRs not actually full");
-            for r in self.latches.iter().flatten() {
-                debug_assert!(!self.holds(r.addr), "latched hit would have been accepted");
-            }
-        }
-        self.stats.mshr_stalls += cycles;
-        let n = self.latches.len();
-        let occ: Vec<usize> = (0..n).filter(|&i| self.latches[i].is_some()).collect();
-        let first = occ.iter().position(|&i| i >= self.rr).unwrap_or(0);
-        let last = occ[(first + ((cycles - 1) % occ.len() as u64) as usize) % occ.len()];
-        self.rr = (last + 1) % n;
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -546,12 +477,6 @@ impl Cache {
         self.chunks[c].tags[i]
     }
 
-    /// Whether `addr`'s line is resident.
-    fn holds(&self, addr: u64) -> bool {
-        let (set, line_addr) = self.locate(addr);
-        self.tag(set) == line_addr
-    }
-
     /// Writes back `set`'s line if it is dirty (timing only; the data is
     /// functionally in global memory already).
     fn evict(&mut self, now: u64, set: usize, dram: &mut Dram) {
@@ -592,9 +517,10 @@ impl Cache {
     }
 
     /// Whether the cache still has timed events scheduled in the future:
-    /// accepted requests whose responses are not yet deliverable. Used by
-    /// the simulator's progress watchdog to avoid declaring a deadlock
-    /// while memory is merely slow (e.g. under a DRAM latency spike).
+    /// accepted requests whose responses are not yet deliverable. The
+    /// simulator's progress watchdog asks this so it does not declare a
+    /// deadlock while memory is merely slow (e.g. under a DRAM latency
+    /// spike).
     pub fn has_pending_events(&self, now: u64) -> bool {
         self.inflight.iter().any(|f| f.ready > now)
     }
@@ -883,35 +809,6 @@ mod tests {
             }
         }
         assert!(c.stats.misses > 2, "test should exercise misses");
-    }
-
-    /// `replay_blocked(now, k)` must equal `k` dense ticks of a fully
-    /// blocked cache: same stats, same round-robin pointer.
-    #[test]
-    fn replay_blocked_matches_dense_ticks() {
-        let (_c0, mut d, mut gm, buf) = setup();
-        let mut c = Cache::new(CacheConfig { max_outstanding_misses: 1, ..CacheConfig::default() });
-        let ports: Vec<PortId> = (0..3).map(|_| c.add_port()).collect();
-        // Fill the single MSHR with a long miss, then latch misses on all
-        // ports: the cache is now fully blocked until the miss returns.
-        c.request(ports[0], load(global_addr(buf, 0)));
-        assert!(c.tick(0, &mut d, &mut gm), "first miss is accepted");
-        for (i, p) in ports.iter().enumerate() {
-            c.request(*p, load(global_addr(buf, 4096 * (i as u64 + 1))));
-        }
-        assert!(!c.tick(1, &mut d, &mut gm), "fully blocked cache reports no progress");
-        let ready = c.next_response_ready().expect("miss in flight");
-        assert!(ready > 16);
-        let mut dense = c.clone();
-        let mut replayed = c;
-        // Dense: tick cycles 2..=9; replay: one closed-form call.
-        for t in 2..10u64 {
-            assert!(!dense.tick(t, &mut d, &mut gm));
-        }
-        replayed.replay_blocked(1, 8);
-        assert_eq!(dense.stats, replayed.stats);
-        assert_eq!(dense.rr, replayed.rr);
-        assert_eq!(dense.latched_requests(), replayed.latched_requests());
     }
 
     /// Chunks that are not the same allocation.

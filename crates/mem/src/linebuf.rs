@@ -36,9 +36,8 @@
 //!
 //! Determinism: the only statistics are per-*event* counters (serves,
 //! fills, first-time underruns) — there are no per-idle-cycle counters —
-//! so the fast scheduler's fast-forward needs no replay
-//! equivalent of [`crate::cache::Cache::replay_blocked`]: skipped cycles
-//! are cycles in which `tick` would not have changed anything.
+//! so an idle line buffer's tick is a no-op and the simulator may skip
+//! it ([`LineBuffer::is_idle`]).
 
 use crate::dram::Dram;
 use crate::request::{MemOp, MemRequest, MemResponse, PortId};
@@ -214,17 +213,12 @@ impl LineBuffer {
 
     /// Advances the line buffer by one cycle: retires matured fills,
     /// serves every resident latched request (all ports in parallel —
-    /// this is the whole point), and issues new stream fills. Returns
-    /// whether anything changed (fill retired, request served, or fill
-    /// issued); a `false` return guarantees the next cycle would be
-    /// identical, which the fast scheduler relies on.
-    pub fn tick(&mut self, now: u64, dram: &mut Dram, gm: &GlobalMemory) -> bool {
-        let mut moved = false;
+    /// this is the whole point), and issues new stream fills.
+    pub fn tick(&mut self, now: u64, dram: &mut Dram, gm: &GlobalMemory) {
         // Retire matured fills in issue order.
         while self.fills.front().is_some_and(|&(ready, _)| ready <= now) {
             let (_, until) = self.fills.pop_front().expect("front checked");
             self.filled_until = until;
-            moved = true;
         }
 
         // The buffer's extent in the encoded address space. A request
@@ -260,7 +254,6 @@ impl LineBuffer {
                 self.stats.window_hits += 1;
             }
             self.waited[p] = false;
-            moved = true;
         }
 
         // Initialize the stream base from the first in-buffer demand.
@@ -295,11 +288,9 @@ impl LineBuffer {
                         self.stats.window_hits += 1;
                     }
                     self.waited[p] = false;
-                    moved = true;
                 } else if !self.waited[p] {
                     self.waited[p] = true;
                     self.stats.underruns += 1;
-                    moved = true;
                 }
             }
 
@@ -317,29 +308,18 @@ impl LineBuffer {
                 self.issued_until += line;
                 self.stats.stream_refills += 1;
                 self.stats.bytes_from_dram += line;
-                moved = true;
             }
         }
-        moved
     }
 
-    /// Whether the line buffer holds any timing state that must advance
-    /// before the machine can be fast-forwarded past it.
+    /// Whether the line buffer holds any timing state that must still
+    /// advance: in-flight fills, latched requests or undelivered
+    /// responses. The simulator's progress watchdog holds fire while
+    /// this is true.
     pub fn has_pending_events(&self) -> bool {
         !self.fills.is_empty()
             || self.latches.iter().any(|l| l.is_some())
             || self.out.iter().any(|q| !q.is_empty())
-    }
-
-    /// The earliest cycle at which something new happens: the next fill
-    /// retires or a queued response becomes poppable.
-    pub fn next_event_cycle(&self) -> Option<u64> {
-        let fill = self.fills.front().map(|&(ready, _)| ready);
-        let resp = self.out.iter().filter_map(|q| q.front().map(|&(ready, _)| ready)).min();
-        match (fill, resp) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
     }
 
     /// Completely idle: no latched requests, no in-flight fills, no
@@ -528,12 +508,10 @@ mod tests {
         lb.request(p, load(global_addr(0, 0)));
         assert!(lb.has_pending_events());
         lb.tick(0, &mut dram, &gm);
-        assert!(lb.next_event_cycle().is_some());
         let (t, _) = run_until_response(&mut lb, &mut dram, &gm, p, 0);
         for now in t..t + 200 {
             lb.tick(now, &mut dram, &gm);
         }
         assert!(!lb.has_pending_events());
-        assert_eq!(lb.next_event_cycle(), None);
     }
 }

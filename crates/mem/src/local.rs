@@ -112,27 +112,17 @@ impl LocalBlock {
     }
 
     /// Whether the block still has responses scheduled for a future cycle
-    /// (used by the simulator's progress watchdog).
+    /// (the simulator's progress watchdog asks this).
     pub fn has_pending_events(&self, now: u64) -> bool {
         self.out.iter().any(|q| q.iter().any(|(ready, _)| *ready > now))
     }
 
-    /// The ready cycle of the earliest queued response, if any.
-    pub fn next_response_ready(&self) -> Option<u64> {
-        self.out.iter().filter_map(|q| q.front().map(|(ready, _)| *ready)).min()
-    }
-
     /// Advances one cycle: services at most one request per bank.
-    ///
-    /// Returns whether any request was accepted. The first occupied latch
-    /// always wins its bank, so any latched request guarantees progress —
-    /// a `false` return means the block was completely idle.
-    pub fn tick(&mut self, now: u64) -> bool {
+    pub fn tick(&mut self, now: u64) {
         debug_assert_eq!(self.latched, self.latches.iter().flatten().count());
         if self.latched == 0 {
-            return false;
+            return;
         }
-        let mut moved = false;
         self.bank_used.fill(false);
         for p in 0..self.latches.len() {
             let Some(req) = self.latches[p].as_ref() else { continue };
@@ -151,9 +141,7 @@ impl LocalBlock {
             let slot = (req.wg as usize) % self.slots.len();
             let value = self.apply(slot, &req);
             self.out[p].push_back((now + self.latency as u64, MemResponse { value }));
-            moved = true;
         }
-        moved
     }
 
     fn apply(&mut self, slot: usize, req: &MemRequest) -> u64 {

@@ -1,18 +1,20 @@
 //! Chrome trace-event JSON emission (the array flavor Perfetto and
 //! `chrome://tracing` both accept).
 //!
-//! The writer is deliberately low-level: it hands out one "slot" per
-//! event and leaves composing the merged timeline to the caller, so the
-//! serve layer can interleave its own spans with event streams produced
-//! elsewhere (the simulator's profiler export writes into the same
-//! array via [`ChromeTraceWriter::parts`]). Each logical track is a
-//! `(pid, tid)` pair; callers give each clock domain its own `pid` —
-//! wall-clock serve spans and simulated-cycle kernel profiles must not
-//! share one, since their microseconds mean different things.
+//! The writer is deliberately low-level: it writes one event per call
+//! and leaves composing the merged timeline to the caller, so the serve
+//! layer can interleave its own spans with event streams produced
+//! elsewhere (the simulator's profiler export,
+//! `soff_sim::chrome_trace_events`, writes into the same writer). Each
+//! logical track is a `(pid, tid)` pair; callers give each clock domain
+//! its own `pid` — wall-clock serve spans and simulated-cycle kernel
+//! profiles must not share one, since their microseconds mean different
+//! things.
 
 use std::io::{self, Write};
 
-/// Escapes a string for embedding in a JSON string literal.
+/// Escapes a string for embedding in a JSON string literal: the
+/// workspace's one JSON escaper.
 pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -33,14 +35,13 @@ pub fn esc(s: &str) -> String {
 pub struct ChromeTraceWriter<W: Write> {
     w: W,
     first: bool,
-    finished: bool,
 }
 
 impl<W: Write> ChromeTraceWriter<W> {
     /// Opens the array.
     pub fn new(mut w: W) -> io::Result<ChromeTraceWriter<W>> {
         w.write_all(b"[")?;
-        Ok(ChromeTraceWriter { w, first: true, finished: false })
+        Ok(ChromeTraceWriter { w, first: true })
     }
 
     /// Writes the separator for the next event and returns the raw
@@ -52,14 +53,6 @@ impl<W: Write> ChromeTraceWriter<W> {
             self.w.write_all(b",\n")?;
         }
         Ok(&mut self.w)
-    }
-
-    /// Raw access for external emitters that manage their own commas:
-    /// `(writer, first)` where `first` is true iff no event has been
-    /// written yet. The emitter must leave `first` false after writing
-    /// at least one event.
-    pub fn parts(&mut self) -> (&mut W, &mut bool) {
-        (&mut self.w, &mut self.first)
     }
 
     /// Names a process (Perfetto group header).
@@ -157,7 +150,6 @@ impl<W: Write> ChromeTraceWriter<W> {
     /// should not look valid).
     pub fn finish(mut self) -> io::Result<W> {
         self.w.write_all(b"]\n")?;
-        self.finished = true;
         self.w.flush()?;
         Ok(self.w)
     }
@@ -215,23 +207,9 @@ mod tests {
     }
 
     #[test]
-    fn external_emitter_through_parts_keeps_commas_consistent() {
-        let mut buf = Vec::new();
-        {
-            let mut tw = ChromeTraceWriter::new(&mut buf).unwrap();
-            tw.instant(0, 0, "a", 1, &[]).unwrap();
-            {
-                let (w, first) = tw.parts();
-                assert!(!*first);
-                // External emitters write their own separators.
-                write!(w, ",{{\"ph\":\"i\",\"s\":\"t\",\"name\":\"b\",\"pid\":9,\
-                        \"tid\":0,\"ts\":2}}")
-                .unwrap();
-            }
-            tw.instant(0, 0, "c", 3, &[]).unwrap();
-            tw.finish().unwrap();
-        }
-        let text = String::from_utf8(buf).unwrap();
-        crate::jsonlint::validate(&text).expect("merged trace must stay valid");
+    fn escapes_json_strings() {
+        assert_eq!(esc("plain"), "plain");
+        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(esc("\t\r\u{1}"), "\\t\\r\\u0001");
     }
 }

@@ -23,6 +23,7 @@
 //! the histogram reports that rank's bucket upper bound — a conservative
 //! (never underestimating) answer that is stable across merge order.
 
+use crate::chrome::esc;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -435,13 +436,13 @@ impl Registry {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{{\"name\":\"{}\"", json_escape(name));
+            let _ = write!(out, "{{\"name\":\"{}\"", esc(name));
             out.push_str(",\"labels\":{");
             for (j, (k, v)) in labels.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
+                let _ = write!(out, "\"{}\":\"{}\"", esc(k), esc(v));
             }
             out.push('}');
             match handle {
@@ -498,24 +499,6 @@ fn label_escape(v: &str) -> String {
             '\\' => out.push_str("\\\\"),
             '"' => out.push_str("\\\""),
             '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_escape(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
             c => out.push(c),
         }
     }

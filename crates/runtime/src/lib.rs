@@ -131,6 +131,12 @@ pub enum ApiError {
         /// Local size of the offending dimension.
         local: u64,
     },
+    /// The NDRange's `work_dim` is outside `1..=3`
+    /// (`CL_INVALID_WORK_DIMENSION`).
+    InvalidWorkDimension {
+        /// The requested number of dimensions.
+        work_dim: u32,
+    },
 }
 
 impl ApiError {
@@ -143,6 +149,7 @@ impl ApiError {
             ApiError::BufferOverrun { .. } => "CL_INVALID_VALUE",
             ApiError::InvalidGlobalWorkSize { .. } => "CL_INVALID_GLOBAL_WORK_SIZE",
             ApiError::InvalidWorkGroupSize { .. } => "CL_INVALID_WORK_GROUP_SIZE",
+            ApiError::InvalidWorkDimension { .. } => "CL_INVALID_WORK_DIMENSION",
         }
     }
 }
@@ -180,6 +187,9 @@ impl fmt::Display for ApiError {
                  global size {global}",
                 self.status()
             ),
+            ApiError::InvalidWorkDimension { work_dim } => {
+                write!(f, "{}: work_dim {work_dim} is outside 1..=3", self.status())
+            }
         }
     }
 }
@@ -813,11 +823,14 @@ impl Context {
 ///
 /// # Errors
 ///
+/// [`ApiError::InvalidWorkDimension`] /
 /// [`ApiError::InvalidWorkGroupSize`] /
 /// [`ApiError::InvalidGlobalWorkSize`].
 pub fn validate_ndrange(nd: &NdRange) -> Result<(), ApiError> {
-    let dims = nd.work_dim.max(1) as usize;
-    for d in 0..dims {
+    if !(1..=3).contains(&nd.work_dim) {
+        return Err(ApiError::InvalidWorkDimension { work_dim: nd.work_dim });
+    }
+    for d in 0..nd.work_dim as usize {
         let (global, local) = (nd.global[d], nd.local[d]);
         if local == 0 || global % local != 0 {
             return Err(ApiError::InvalidWorkGroupSize { global, local });
@@ -973,6 +986,31 @@ mod tests {
             ctx.enqueue_ndrange(&k, nd).unwrap_err(),
             LaunchError::Api(ApiError::InvalidGlobalWorkSize { total: 0 })
         ));
+    }
+
+    #[test]
+    fn work_dimension_outside_one_to_three_is_rejected() {
+        let device = Device::system_a();
+        let program = Program::build(VADD, &[], &device).unwrap();
+        let mut ctx = Context::new(device);
+        let a = ctx.create_buffer(32 * 4);
+        let mut k = program.kernel("vadd").unwrap();
+        k.set_arg_buffer(0, a).set_arg_buffer(1, a).set_arg_buffer(2, a);
+        // Only the first `work_dim` entries are read, and there are three.
+        for work_dim in [0, 4] {
+            let nd = NdRange { work_dim, global: [32, 1, 1], local: [8, 1, 1] };
+            match ctx.enqueue_ndrange(&k, nd).unwrap_err() {
+                LaunchError::Api(e @ ApiError::InvalidWorkDimension { work_dim: w }) => {
+                    assert_eq!(w, work_dim);
+                    assert_eq!(e.status(), "CL_INVALID_WORK_DIMENSION");
+                }
+                other => panic!("expected InvalidWorkDimension, got {other}"),
+            }
+            assert!(matches!(
+                ctx.prepare_launch(&k, nd),
+                Err(LaunchError::Api(ApiError::InvalidWorkDimension { .. }))
+            ));
+        }
     }
 
     #[test]

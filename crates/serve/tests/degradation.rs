@@ -8,9 +8,10 @@
 //! are validated and queued but never dispatched, so queue occupancy is
 //! deterministic and the assertions cannot race a worker.
 
+use soff_runtime::ApiError;
 use soff_serve::{
-    Buffer, NdRange, QueueScope, QuotaKind, ServeError, Server, ServerConfig, Session,
-    TenantQuota, TenantStats,
+    Buffer, LaunchError, NdRange, QueueScope, QuotaKind, ServeError, Server, ServerConfig,
+    Session, TenantQuota, TenantStats,
 };
 use soff_sim::{Fault, FaultPlan};
 use std::time::{Duration, Instant};
@@ -113,6 +114,26 @@ fn invalid_launch_is_rejected_at_admission() {
     }
     let st = thief.stats();
     assert_eq!(st.completed + st.failed, 0, "invalid launch must never queue");
+}
+
+#[test]
+fn out_of_range_work_dimension_is_rejected_at_admission() {
+    // `work_dim` 0 or 4 must be a typed Launch error at enqueue, not a
+    // panic under the server's state lock.
+    let server = admission_only(ServerConfig::default());
+    let sess = server.connect("dims").unwrap();
+    let k = prep(&sess, 8, 10);
+    for work_dim in [0, 4] {
+        let nd = NdRange { work_dim, global: [8, 1, 1], local: [4, 1, 1] };
+        match sess.enqueue(&k, nd) {
+            Err(ServeError::Launch(LaunchError::Api(ApiError::InvalidWorkDimension {
+                work_dim: w,
+            }))) => assert_eq!(w, work_dim),
+            other => panic!("expected InvalidWorkDimension, got {other:?}"),
+        }
+    }
+    // The server still admits a well-formed launch afterwards.
+    sess.enqueue(&k, NdRange::dim1(8, 4)).expect("valid launch admitted");
 }
 
 #[test]

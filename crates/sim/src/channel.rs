@@ -232,11 +232,6 @@ impl<T> Channels<T> {
         self.dirty.clear();
     }
 
-    /// Whether any channel changed state since the last `begin_cycle`.
-    pub fn touched(&self) -> bool {
-        !self.dirty.is_empty()
-    }
-
     /// Tokens ever pushed into the bank (the sum of [`Channel::total`]).
     pub fn pushes(&self) -> u64 {
         self.pushes

@@ -333,40 +333,6 @@ pub(crate) fn apply(
     mem.dram.set_fault_extra_latency(dram_extra);
 }
 
-/// The earliest cycle after `now` at which the plan's effect on the
-/// machine could change: a window fault opening or closing, or a
-/// not-yet-fired one-shot arming. The fast scheduler never
-/// fast-forwards past such a boundary, so `apply`'s cycle-by-cycle
-/// recomputation observes every window edge. One-shots already armed
-/// (`at <= now`) but still unfired contribute nothing: they trigger on
-/// channel occupancy, which a globally idle machine cannot change.
-pub(crate) fn next_boundary(plan: &FaultPlan, fired: &[bool], now: u64) -> Option<u64> {
-    let mut next: Option<u64> = None;
-    let mut consider = |c: u64| {
-        if c > now && next.is_none_or(|n| c < n) {
-            next = Some(c);
-        }
-    };
-    for (f, fired) in plan.faults.iter().zip(fired.iter()) {
-        match f {
-            Fault::ChannelStuckStall { from, cycles, .. }
-            | Fault::DramLatencySpike { from, cycles, .. }
-            | Fault::CachePortJam { from, cycles, .. }
-            | Fault::ArbiterWithhold { from, cycles, .. }
-            | Fault::LineBufJam { from, cycles, .. } => {
-                consider(*from);
-                consider(from.saturating_add(*cycles));
-            }
-            Fault::TokenDrop { at, .. } | Fault::TokenDup { at, .. } => {
-                if !*fired {
-                    consider(*at);
-                }
-            }
-        }
-    }
-    next
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

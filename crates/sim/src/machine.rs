@@ -57,10 +57,9 @@ pub enum Scheduler {
     /// Tick every component and every unit every cycle, and refresh every
     /// channel — the reference model.
     Dense,
-    /// Skip work provably a no-op: components and units that cannot act,
-    /// channels nobody touched, and whole stretches of cycles in which
-    /// the machine only waits on a scheduled memory event (fast-forwarded,
-    /// with the stall counters replayed in closed form).
+    /// Step every cycle like `Dense`, but skip work that is provably a
+    /// no-op: datapath instances with no work-group in flight, components
+    /// and units that cannot act, and channels nobody touched.
     ///
     /// Runs exactly like `Dense` while profiling is enabled: the profiler
     /// observes every unit once per simulated cycle.
@@ -416,13 +415,10 @@ impl MachineState {
     /// component's own tick gates on (branch and select pop through
     /// `front()`, which ignores jamming, so their tests do too). With
     /// `skip_idle` set, an instance with no work-group in flight holds no
-    /// tokens and is skipped whole. Returns whether any pipeline moved a
-    /// token (glue moves tokens only through channels, which the caller
-    /// observes via [`Channels::touched`]).
-    fn tick_comps(&mut self, launch: &LaunchCtx, skip: bool, skip_idle: bool) -> bool {
+    /// tokens and is skipped whole.
+    fn tick_comps(&mut self, launch: &LaunchCtx, skip: bool, skip_idle: bool) {
         let (now, chans) = (self.now, &mut self.chans);
         let per_inst = self.comps.len() / self.dispatchers.len();
-        let mut moved = false;
         for (inst, d) in self.comps.chunks_mut(per_inst).zip(&self.dispatchers) {
             if skip_idle && d.active.is_empty() {
                 continue;
@@ -433,7 +429,7 @@ impl MachineState {
                         if skip && p.quiescent(chans) {
                             continue;
                         }
-                        moved |= p.tick(now, chans, &mut self.mem, launch, !skip);
+                        p.tick(now, chans, &mut self.mem, launch, !skip);
                     }
                     Comp::Branch(x) => {
                         if skip && chans[x.inp.0].front().is_none() {
@@ -481,7 +477,6 @@ impl MachineState {
                 }
             }
         }
-        moved
     }
 }
 
@@ -947,7 +942,7 @@ impl Machine {
                     });
                 }
             }
-            match self.step(gm, ctl) {
+            match self.step(gm) {
                 Step::Continue => {}
                 Step::Done(r) => return Ok(r),
                 Step::Fail(e) => return Err(e),
@@ -955,8 +950,8 @@ impl Machine {
         }
     }
 
-    /// Executes one simulated cycle (or, under `Fast`, a quiescent gap).
-    fn step(&mut self, gm: &mut GlobalMemory, ctl: &RunControl) -> Step {
+    /// Executes one simulated cycle.
+    fn step(&mut self, gm: &mut GlobalMemory) -> Step {
         let now = self.st.now;
         if self.skip {
             self.st.chans.begin_cycle();
@@ -1002,14 +997,14 @@ impl Machine {
         // in-flight accounting instance skipping relies on, so under any
         // fault plan every instance runs.
         let skip_idle = self.skip && self.cfg.faults.is_empty();
-        let comp_moved = self.st.tick_comps(&self.launch, self.skip, skip_idle);
+        self.st.tick_comps(&self.launch, self.skip, skip_idle);
         // Line buffers are memory components; the profiler classifies
         // each one's cycle from its state before the memory tick.
         if let Some(p) = self.st.profiler.as_mut() {
             p.observe_line_bufs(&self.st.mem);
         }
         // Memory subsystem.
-        let mem_moved = self.st.mem.tick(now, gm);
+        self.st.mem.tick(now, gm);
         // Work-item counter (§III-B).
         for d in &mut self.st.dispatchers {
             while self.st.chans[d.retire.0].can_pop() {
@@ -1186,91 +1181,6 @@ impl Machine {
             });
         }
 
-        // Quiescent-gap fast-forward: if this cycle moved nothing at all —
-        // no component fired, no memory delivery or grant, no channel
-        // push/pop/fault — then the machine state is a fixpoint of the
-        // cycle function and every following cycle repeats it verbatim
-        // until the next *scheduled* event. Jump straight to that cycle,
-        // replaying in closed form the only per-cycle side effects dense
-        // stepping would have produced (stall counters).
-        if self.skip && !comp_moved && !mem_moved && !self.st.chans.touched() {
-            let t_mem = self.st.mem.next_event_cycle(now);
-            debug_assert_eq!(
-                t_mem.is_some(),
-                self.st.mem.has_pending_events(now),
-                "in a quiescent machine every queued response is in the future"
-            );
-            let t_unit = self
-                .st
-                .comps
-                .iter()
-                .filter_map(|c| match c {
-                    Comp::Pipe(p) if !p.is_empty() => p.next_internal_event(now),
-                    _ => None,
-                })
-                .min();
-            // The budget check at the loop top must still fire at
-            // `max_cycles`, the cycle deadline at its cut, and the
-            // watchdogs at their deadlines; the target cycle is processed
-            // normally, so capping the jump at each forcing cycle
-            // reproduces dense behaviour exactly.
-            let mut target = self.cfg.max_cycles;
-            if let Some(d) = ctl.cycle_deadline {
-                target = target.min(d);
-            }
-            if let Some(t) = t_mem {
-                target = target.min(t);
-            }
-            if let Some(t) = t_unit {
-                target = target.min(t);
-            }
-            if t_mem.is_none() {
-                // No pending memory events: the progress watchdog stays
-                // frozen and fires one cycle past its window.
-                target = target.min(
-                    self.st
-                        .last_progress
-                        .saturating_add(self.deadlock_window)
-                        .saturating_add(1),
-                );
-            }
-            target = target.min(
-                self.st
-                    .last_retire_progress
-                    .saturating_add(self.livelock_window)
-                    .saturating_add(1),
-            );
-            if let Some(t) =
-                fault::next_boundary(&self.cfg.faults, &self.st.faults_fired, now)
-            {
-                target = target.min(t);
-            }
-            debug_assert!(target > now, "every forcing event lies strictly in the future");
-            let skipped = target - now - 1;
-            if skipped > 0 {
-                for c in &mut self.st.comps {
-                    if let Comp::Pipe(p) = c {
-                        if !p.quiescent(&self.st.chans) {
-                            p.replay_stalls(
-                                now,
-                                &mut self.st.chans,
-                                &mut self.st.mem,
-                                &self.launch,
-                                skipped,
-                            );
-                        }
-                    }
-                }
-                self.st.mem.replay_blocked(now, skipped);
-                if t_mem.is_some() {
-                    // Dense stepping refreshes the progress watchdog every
-                    // cycle while memory has scheduled events.
-                    self.st.last_progress = target - 1;
-                }
-                self.st.now = target;
-                return Step::Continue;
-            }
-        }
         self.st.now = now + 1;
         Step::Continue
     }

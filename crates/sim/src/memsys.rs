@@ -199,9 +199,9 @@ impl MemorySystem {
 
     /// Whether any memory component still has a timed event scheduled in
     /// the future (in-flight cache fills, undelivered local/private
-    /// responses). While true, lack of datapath progress means "memory is
-    /// slow", not "the machine is wedged" — the deadlock watchdog must
-    /// hold fire.
+    /// responses): the progress watchdog's only memory query. While true,
+    /// lack of datapath progress means "memory is slow", not "the machine
+    /// is wedged", so the watchdog holds fire.
     pub fn has_pending_events(&self, now: u64) -> bool {
         self.caches.iter().any(|c| c.has_pending_events(now))
             || self.line_bufs.iter().any(|b| b.has_pending_events())
@@ -212,18 +212,17 @@ impl MemorySystem {
                 .any(|q| q.iter().any(|(ready, _)| *ready > now))
     }
 
-    /// Advances caches and local blocks one cycle. Returns whether any
-    /// component delivered or accepted anything. Completely idle caches
-    /// and locals are skipped — their tick is a provable no-op (no state,
-    /// no stall counters), so skipping is exact in both scheduler modes.
-    pub fn tick(&mut self, now: u64, gm: &mut GlobalMemory) -> bool {
-        let mut moved = false;
+    /// Advances caches, line buffers and local blocks one cycle.
+    /// Completely idle caches and line buffers are skipped: their tick is
+    /// a provable no-op (no state, no stall counters), so skipping is
+    /// exact in both scheduler modes.
+    pub fn tick(&mut self, now: u64, gm: &mut GlobalMemory) {
         for c in &mut self.caches {
             if c.is_idle() {
                 continue;
             }
             let before = c.stats.accesses;
-            moved |= c.tick(now, &mut self.dram, gm);
+            c.tick(now, &mut self.dram, gm);
             self.accesses += c.stats.accesses - before;
         }
         for b in &mut self.line_bufs {
@@ -231,39 +230,11 @@ impl MemorySystem {
                 continue;
             }
             let before = b.stats.accesses;
-            moved |= b.tick(now, &mut self.dram, gm);
+            b.tick(now, &mut self.dram, gm);
             self.accesses += b.stats.accesses - before;
         }
         for l in &mut self.locals {
-            moved |= l.tick(now);
-        }
-        moved
-    }
-
-    /// The earliest future cycle at which a queued response matures (cache
-    /// fills, local-block latencies, private latencies); `None` when no
-    /// timed event is scheduled. Undelivered responses already past their
-    /// ready cycle do not count — they act on the very next tick, which
-    /// the caller accounts for separately.
-    pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        let caches = self.caches.iter().filter_map(|c| c.next_response_ready());
-        let line_bufs = self.line_bufs.iter().filter_map(|b| b.next_event_cycle());
-        let locals = self.locals.iter().filter_map(|l| l.next_response_ready());
-        let private = self
-            .responses_private
-            .iter()
-            .filter_map(|q| q.front().map(|(ready, _)| *ready));
-        caches.chain(line_bufs).chain(locals).chain(private).filter(|&r| r > now).min()
-    }
-
-    /// Replays `cycles` blocked cycles on every cache in closed form (see
-    /// [`Cache::replay_blocked`]); locals and private memory have nothing
-    /// to replay (any latched local request makes progress, so a frozen
-    /// machine has none). Line buffers need no replay either: all their
-    /// statistics count events, never idle cycles.
-    pub fn replay_blocked(&mut self, now: u64, cycles: u64) {
-        for c in &mut self.caches {
-            c.replay_blocked(now, cycles);
+            l.tick(now);
         }
     }
 

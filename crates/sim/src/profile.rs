@@ -40,6 +40,7 @@ use crate::machine::Comp;
 use crate::memsys::{CachePlan, MemTarget, MemorySystem};
 use crate::token::Token;
 use soff_mem::CacheStats;
+use soff_obs::ChromeTraceWriter;
 use std::collections::VecDeque;
 use std::io::{self, Write};
 
@@ -683,155 +684,68 @@ fn rank_bottlenecks(
     out
 }
 
-fn esc(s: &str) -> String {
-    let mut o = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => o.push_str("\\\""),
-            '\\' => o.push_str("\\\\"),
-            '\n' => o.push_str("\\n"),
-            '\t' => o.push_str("\\t"),
-            '\r' => o.push_str("\\r"),
-            c if (c as u32) < 0x20 => o.push_str(&format!("\\u{:04x}", c as u32)),
-            c => o.push(c),
-        }
-    }
-    o
-}
-
-/// Emits the report's trace events into an already-open Chrome
-/// trace-event array, parameterized for merging: `pid` names the
-/// process group (each report in a merged timeline gets its own),
-/// `ts_offset_us` shifts every timestamp (one simulated cycle maps to
-/// one microsecond of trace time), and `first` carries the
-/// between-events comma state across emitters sharing one array
-/// (`true` iff nothing has been written yet; left `false` afterwards).
+/// Emits the report's trace events through `w`, parameterized for
+/// merging: `pid` is the report's process group (each report in a merged
+/// timeline gets its own; the caller names it with
+/// [`ChromeTraceWriter::process_name`]), and `ts_offset_us` shifts every
+/// timestamp (one simulated cycle maps to one microsecond of trace time).
 ///
-/// [`write_chrome_trace`] is the single-report wrapper;
-/// `soff-obs`-based exporters call this directly to interleave sim
-/// profiles with serve-level spans in one timeline.
+/// [`write_chrome_trace`] is the single-report wrapper; exporters call
+/// this directly to interleave sim profiles with serve-level spans in
+/// one timeline.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `w`.
 pub fn chrome_trace_events<W: Write>(
     report: &ProfileReport,
-    w: &mut W,
+    w: &mut ChromeTraceWriter<W>,
     pid: u64,
     ts_offset_us: u64,
-    first: &mut bool,
 ) -> io::Result<()> {
-    let mut emit = |w: &mut W, s: String| -> io::Result<()> {
-        if *first {
-            *first = false;
-        } else {
-            write!(w, ",")?;
-        }
-        write!(w, "{s}")
-    };
-
-    emit(
-        w,
-        format!(
-            "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-             \"args\":{{\"name\":\"SOFF simulator: {}\"}}}}",
-            esc(&report.kernel)
-        ),
-    )?;
-    emit(
-        w,
-        format!(
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":1,\"name\":\"thread_name\",\
-             \"args\":{{\"name\":\"work-groups\"}}}}"
-        ),
-    )?;
-    emit(
-        w,
-        format!(
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":2,\"name\":\"thread_name\",\
-             \"args\":{{\"name\":\"barriers\"}}}}"
-        ),
-    )?;
-
+    w.thread_name(pid, 1, "work-groups")?;
+    w.thread_name(pid, 2, "barriers")?;
     for span in &report.spans {
         let tid = match span.track {
             SpanTrack::WorkGroup => 1,
             SpanTrack::Barrier => 2,
         };
         let dur = span.end.saturating_sub(span.start).max(1);
-        emit(
-            w,
-            format!(
-                "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{}\",\
-                 \"ts\":{},\"dur\":{dur}}}",
-                esc(&span.name),
-                span.start + ts_offset_us
-            ),
-        )?;
+        w.complete(pid, tid, &span.name, span.start + ts_offset_us, dur, &[])?;
     }
-
     for s in &report.samples {
         let ts = s.cycle + ts_offset_us;
-        emit(
-            w,
-            format!(
-                "{{\"ph\":\"C\",\"pid\":{pid},\"name\":\"tokens in flight\",\
-                 \"ts\":{ts},\"args\":{{\"tokens\":{}}}}}",
-                s.tokens_in_flight
-            ),
-        )?;
-        emit(
-            w,
-            format!(
-                "{{\"ph\":\"C\",\"pid\":{pid},\"name\":\"retired\",\
-                 \"ts\":{ts},\"args\":{{\"work-items\":{}}}}}",
-                s.retired
-            ),
-        )?;
-        emit(
-            w,
-            format!(
-                "{{\"ph\":\"C\",\"pid\":{pid},\"name\":\"dram busy channels\",\
-                 \"ts\":{ts},\"args\":{{\"channels\":{}}}}}",
-                s.dram_busy_channels
-            ),
-        )?;
+        w.counter(pid, "tokens in flight", ts, &[("tokens", s.tokens_in_flight as f64)])?;
+        w.counter(pid, "retired", ts, &[("work-items", s.retired as f64)])?;
+        w.counter(pid, "dram busy channels", ts, &[("channels", s.dram_busy_channels.into())])?;
         for (i, c) in s.caches.iter().enumerate() {
-            emit(
-                w,
-                format!(
-                    "{{\"ph\":\"C\",\"pid\":{pid},\"name\":\"cache {i} occupancy\",\
-                     \"ts\":{ts},\"args\":{{\"inflight\":{},\"latched\":{}}}}}",
-                    c.inflight, c.latched
-                ),
-            )?;
+            let series = [("inflight", c.inflight.into()), ("latched", c.latched.into())];
+            w.counter(pid, &format!("cache {i} occupancy"), ts, &series)?;
         }
-        for (i, h) in s.pipes.iter().enumerate() {
-            emit(
-                w,
-                format!(
-                    "{{\"ph\":\"C\",\"pid\":{pid},\"name\":\"pipe {i} work-items\",\
-                     \"ts\":{ts},\"args\":{{\"holding\":{h}}}}}"
-                ),
-            )?;
+        for (i, &h) in s.pipes.iter().enumerate() {
+            w.counter(pid, &format!("pipe {i} work-items"), ts, &[("holding", h.into())])?;
         }
     }
     Ok(())
 }
 
 /// Writes the report as Chrome trace-event JSON (the format Perfetto and
-/// `chrome://tracing` load). One simulated cycle maps to one microsecond
-/// of trace time. Spans become complete (`"X"`) events on named tracks;
+/// `chrome://tracing` load), wrapped as
+/// `{"displayTimeUnit":"ms","traceEvents":[…]}`, with the process named
+/// after the kernel. One simulated cycle maps to one microsecond of
+/// trace time. Spans become complete (`"X"`) events on named tracks;
 /// sampled series become counter (`"C"`) events.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `w`.
 pub fn write_chrome_trace<W: Write>(report: &ProfileReport, w: &mut W) -> io::Result<()> {
-    write!(w, "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")?;
-    let mut first = true;
-    chrome_trace_events(report, w, 0, 0, &mut first)?;
-    write!(w, "]}}")
+    write!(w, "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":")?;
+    let mut tw = ChromeTraceWriter::new(&mut *w)?;
+    tw.process_name(0, &format!("SOFF simulator: {}", report.kernel))?;
+    chrome_trace_events(report, &mut tw, 0, 0)?;
+    tw.finish()?;
+    write!(w, "}}")
 }
 
 #[cfg(test)]
@@ -859,15 +773,8 @@ mod tests {
         assert_eq!(depth_bucket(1000), 5);
     }
 
-    #[test]
-    fn escapes_json_strings() {
-        assert_eq!(esc("plain"), "plain");
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
-    fn trace_of_empty_report_is_valid_json_skeleton() {
-        let report = ProfileReport {
+    fn empty_report() -> ProfileReport {
+        ProfileReport {
             kernel: "k".into(),
             cycles_observed: 0,
             total_cycles: 0,
@@ -878,12 +785,53 @@ mod tests {
             spans: Vec::new(),
             bottlenecks: Vec::new(),
             dropped_spans: 0,
-        };
+        }
+    }
+
+    #[test]
+    fn trace_of_empty_report_is_valid_json_skeleton() {
+        let report = empty_report();
         let mut buf = Vec::new();
         write_chrome_trace(&report, &mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();
         assert!(s.starts_with('{') && s.ends_with('}'));
         assert!(s.contains("\"traceEvents\":["));
         assert!(s.contains("work-groups"));
+    }
+
+    /// A report's events interleave with other emitters' events in one
+    /// writer and the array stays valid JSON; the caller names the
+    /// report's process once, and the offset shifts every timestamp.
+    #[test]
+    fn events_merge_into_a_shared_writer() {
+        let mut report = empty_report();
+        report.spans.push(Span {
+            name: "wg \"0\"".into(),
+            track: SpanTrack::WorkGroup,
+            start: 3,
+            end: 9,
+        });
+        report.samples.push(Sample {
+            cycle: 5,
+            tokens_in_flight: 4,
+            retired: 2,
+            dram_busy_channels: 1,
+            dram_reads: 0,
+            dram_writes: 0,
+            caches: vec![CacheSample { inflight: 1, latched: 2, hits: 0, misses: 0 }],
+            pipes: vec![3],
+        });
+        let mut buf = Vec::new();
+        let mut tw = ChromeTraceWriter::new(&mut buf).unwrap();
+        tw.instant(0, 0, "before", 1, &[]).unwrap();
+        tw.process_name(7, "sim").unwrap();
+        chrome_trace_events(&report, &mut tw, 7, 100).unwrap();
+        tw.instant(0, 0, "after", 2, &[]).unwrap();
+        tw.finish().unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        soff_obs::jsonlint::validate(&text).expect("merged trace must stay valid");
+        assert_eq!(text.matches("process_name").count(), 1);
+        assert!(text.contains("\"ts\":103,\"dur\":6"), "{text}");
+        assert_eq!(text.matches("\"ts\":105").count(), 5, "{text}");
     }
 }

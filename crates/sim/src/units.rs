@@ -608,12 +608,11 @@ impl Wires<'_> {
         outs: &[u32],
         now: u64,
         stats: &mut PipelineStats,
-        mult: u64,
     ) -> Drain {
         match q.front() {
             Some(&(ready, m)) if ready <= now => {
                 if !self.can_push_all(outs) {
-                    stats.output_stalls += mult;
+                    stats.output_stalls += 1;
                     return Drain::Blocked;
                 }
                 self.retire_front(q, ui);
@@ -805,19 +804,10 @@ impl PipelineSim {
         self.is_empty() && !ext[self.in_chan.0].can_pop()
     }
 
-    /// The earliest future cycle at which a unit-internal completion
-    /// becomes emittable (the only time-driven transition inside a
-    /// pipeline); `None` when no unit holds a future-dated result.
-    pub fn next_internal_event(&self, now: u64) -> Option<u64> {
-        self.act.iter().map(|a| a.due).filter(|&r| r > now && r != u64::MAX).min()
-    }
-
-    /// Advances one cycle. Returns whether any token moved: a unit fired,
-    /// a memory response was delivered, or a completed result drained onto
-    /// an edge or the output channel. With `all` unset only units that
-    /// can act tick and only touched edges refresh their snapshot (exact
-    /// when nothing observes idle ticks, i.e. with profiling off); with
-    /// `all` set every unit ticks and every edge refreshes.
+    /// Advances one cycle. With `all` unset only units that can act tick
+    /// and only touched edges refresh their snapshot (exact when nothing
+    /// observes idle ticks, i.e. with profiling off); with `all` set every
+    /// unit ticks and every edge refreshes.
     pub fn tick(
         &mut self,
         now: u64,
@@ -825,54 +815,19 @@ impl PipelineSim {
         mem: &mut MemorySystem,
         launch: &LaunchCtx,
         all: bool,
-    ) -> bool {
-        self.step(now, ext, mem, launch, 1, all)
-    }
-
-    /// Replays `cycles` consecutive stalled cycles in one pass: every
-    /// stall counter a dense tick would bump gets bumped `cycles` times,
-    /// and nothing moves. Only valid when the machine state is frozen
-    /// across the window (the tick at `now` reported no movement and no
-    /// internal completion or memory response matures inside it), which
-    /// makes every per-cycle decision identical to the one at `now`.
-    pub fn replay_stalls(
-        &mut self,
-        now: u64,
-        ext: &mut Channels<Token>,
-        mem: &mut MemorySystem,
-        launch: &LaunchCtx,
-        cycles: u64,
     ) {
-        if cycles == 0 {
-            return;
-        }
-        let moved = self.step(now, ext, mem, launch, cycles, false);
-        debug_assert!(!moved, "replay of a stalled pipeline must not move tokens");
-    }
-
-    fn step(
-        &mut self,
-        now: u64,
-        ext: &mut Channels<Token>,
-        mem: &mut MemorySystem,
-        launch: &LaunchCtx,
-        mult: u64,
-        all: bool,
-    ) -> bool {
         if all {
             self.edges.begin_cycle_all();
         } else {
             self.edges.begin_cycle();
         }
         let src_ready = ext[self.in_chan.0].can_pop();
-        let mut moved = false;
         for ui in 0..self.act.len() {
             if !all && self.act[ui].idle(now) && !(ui == SOURCE && src_ready) {
                 continue;
             }
-            moved |= self.tick_unit(ui, now, ext, mem, launch, mult);
+            self.tick_unit(ui, now, ext, mem, launch);
         }
-        moved
     }
 
     fn tick_unit(
@@ -882,8 +837,7 @@ impl PipelineSim {
         ext: &mut Channels<Token>,
         mem: &mut MemorySystem,
         launch: &LaunchCtx,
-        mult: u64,
-    ) -> bool {
+    ) {
         let code = &*self.code;
         let u = &code.units[ui];
         let (ins, outs) = (code.ins(u), code.outs(u));
@@ -897,14 +851,14 @@ impl PipelineSim {
             consumer: &code.consumer,
         };
 
-        let (act, moved) = match u.op {
+        let act = match u.op {
             UnitOp::Source => {
                 // Fire: needs an input token and space on every out edge.
                 if !ext[self.in_chan.0].can_pop() {
-                    (Act::Idle, false)
+                    Act::Idle
                 } else if !io.can_push_all(outs) {
-                    stats.output_stalls += mult;
-                    (Act::OutputStall, false)
+                    stats.output_stalls += 1;
+                    Act::OutputStall
                 } else {
                     let t = ext.pop(self.in_chan.0);
                     for (&e, d) in outs.iter().zip(&code.drive) {
@@ -915,15 +869,15 @@ impl PipelineSim {
                         };
                         io.push(e, Micro { wi: t.wi, wg: t.wg, val });
                     }
-                    (Act::Busy, true)
+                    Act::Busy
                 }
             }
             UnitOp::Sink => {
                 if !io.can_pop_all(ins) {
-                    (Act::Idle, false)
+                    Act::Idle
                 } else if !ext[self.out_chan.0].can_push() {
-                    stats.output_stalls += mult;
-                    (Act::OutputStall, false)
+                    stats.output_stalls += 1;
+                    Act::OutputStall
                 } else {
                     let (mut wi, mut wg) = (0, 0);
                     let vals = code.sink.fill(ins.len(), |s| {
@@ -935,11 +889,11 @@ impl PipelineSim {
                     });
                     ext.push(self.out_chan.0, Token { wi, wg, vals });
                     stats.completed += 1;
-                    (Act::Busy, true)
+                    Act::Busy
                 }
             }
             UnitOp::Compute(op) => {
-                let drained = io.drain(q, ui, outs, now, stats, mult);
+                let drained = io.drain(q, ui, outs, now, stats);
                 // Fire stage (fully pipelined: capacity L_F + 1).
                 let inputs_ready = io.can_pop_all(ins);
                 let fired = inputs_ready && q.len() < cap;
@@ -948,7 +902,7 @@ impl PipelineSim {
                     let val = op.eval(&ops, wi, launch);
                     io.finish(q, ui, now + u.lf as u64, Micro { wi, wg, val });
                 }
-                let act = if drained == Drain::Blocked {
+                if drained == Drain::Blocked {
                     Act::OutputStall
                 } else if inputs_ready && !fired {
                     Act::IssueStall
@@ -956,8 +910,7 @@ impl PipelineSim {
                     Act::Busy
                 } else {
                     Act::Idle
-                };
-                (act, fired || drained == Drain::Emitted)
+                }
             }
             UnitOp::Mem { access, port, .. } => {
                 let mp = &mut self.ports[port as usize];
@@ -968,7 +921,7 @@ impl PipelineSim {
                     io.respond(q, mp, ui, now, resp.value);
                     delivered = true;
                 }
-                let drained = io.drain(q, ui, outs, now, stats, mult);
+                let drained = io.drain(q, ui, outs, now, stats);
                 // Fire stage: the unit never stalls while holding ≤ L_F
                 // work-items (§IV-C); enforce the capacity L_F + 1.
                 let inputs_ready = io.can_pop_all(ins);
@@ -981,10 +934,10 @@ impl PipelineSim {
                         io.issue(mp, ui, wi, wg);
                         fired = true;
                     } else {
-                        stats.issue_stalls += mult;
+                        stats.issue_stalls += 1;
                     }
                 }
-                let act = if drained == Drain::Blocked {
+                if drained == Drain::Blocked {
                     Act::OutputStall
                 } else if inputs_ready && !fired {
                     Act::IssueStall
@@ -997,21 +950,19 @@ impl PipelineSim {
                     Act::Busy
                 } else {
                     Act::Idle
-                };
-                (act, fired || delivered || drained == Drain::Emitted)
+                }
             }
         };
 
         if let Some(us) = self.unit_stats.as_mut() {
             let c = &mut us[ui];
             match act {
-                Act::Busy => c.busy += mult,
-                Act::IssueStall => c.issue_stall += mult,
-                Act::OutputStall => c.output_stall += mult,
-                Act::Idle => c.idle += mult,
+                Act::Busy => c.busy += 1,
+                Act::IssueStall => c.issue_stall += 1,
+                Act::OutputStall => c.output_stall += 1,
+                Act::Idle => c.idle += 1,
             }
         }
-        moved
     }
 }
 

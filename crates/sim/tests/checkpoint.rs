@@ -337,18 +337,17 @@ proptest! {
     }
 }
 
-/// Regression: a cycle deadline landing *inside or exactly on* a
-/// quiescent-gap boundary must produce the same slice sequence under
-/// every scheduler — each cut lands exactly on its deadline cycle (the
-/// fast-forward caps its jump at the deadline rather than overshooting,
-/// and a cut at `now + 1` produces a normal one-cycle slice, not a
-/// zero-length one), and the number of slices is pinned by the
-/// completion cycle alone.
+/// Regression: cycle deadlines landing inside or at the edge of a long
+/// quiescent stretch (the machine waiting on memory) must produce the
+/// same slice sequence under every scheduler — each cut lands exactly on
+/// its deadline cycle (no overshoot, and a cut at `now + 1` produces a
+/// normal one-cycle slice, not a zero-length one), and the number of
+/// slices is pinned by the completion cycle alone.
 #[test]
 fn deadline_slice_counts_pin_quiescent_gap_boundaries() {
     // Long-idle-gap kernel: a single narrow work-group serializes on
-    // memory, so the machine spends most cycles quiescent and the
-    // fast-forward path dominates under the fast scheduler.
+    // memory, so the machine spends most cycles quiescent and the fast
+    // scheduler skips nearly every unit on them.
     let src = "__kernel void k(__global int* a, int n) {
         int i = get_global_id(0);
         int s = 0;
@@ -378,9 +377,9 @@ fn deadline_slice_counts_pin_quiescent_gap_boundaries() {
                 match machine.run_with(&mut gm, &ctl) {
                     Err(SimError::DeadlineExceeded { cycle, snapshot }) => {
                         // Every cut lands exactly on its deadline: no
-                        // overshoot (a fast-forward jumping past the cut)
-                        // and no zero-length slice (a repeated cut at the
-                        // same cycle).
+                        // overshoot (a step running past the cut) and no
+                        // zero-length slice (a repeated cut at the same
+                        // cycle).
                         assert_eq!(
                             cycle, deadline,
                             "scheduler {sched:?}, interval {interval}: cut drifted"
@@ -427,8 +426,8 @@ fn deadline_is_typed_and_deterministic() {
         match m.run_with(&mut gm, &ctl) {
             Err(SimError::DeadlineExceeded { cycle, snapshot }) => {
                 // Cycle deadlines are deterministic cut points: the run
-                // stops before executing the deadline cycle even under
-                // the fast scheduler's fast-forward.
+                // stops before executing the deadline cycle under either
+                // scheduler.
                 assert_eq!(cycle, 100);
                 assert_eq!(snapshot.cycle(), 100);
             }

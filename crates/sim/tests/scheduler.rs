@@ -69,7 +69,10 @@ const KERNELS: &[&str] = &[
 ];
 
 /// Runs one launch under `scheduler` and returns the full outcome:
-/// simulation result plus final memory bytes, or the error.
+/// simulation result plus final memory bytes, or the error. The livelock
+/// window is ten deadlock windows; a `deadlock_window` of 0 derives both
+/// from the machine.
+#[allow(clippy::too_many_arguments)]
 fn run_one(
     src: &str,
     nd: NdRange,
@@ -78,6 +81,7 @@ fn run_one(
     profile: Option<ProfileConfig>,
     check_invariants: bool,
     scheduler: Scheduler,
+    deadlock_window: u64,
 ) -> Result<(SimResult, Vec<u8>), SimError> {
     let (kernel, dp) = compile(src);
     let mut gm = GlobalMemory::new();
@@ -109,10 +113,8 @@ fn run_one(
         profile,
         check_invariants,
         scheduler,
-        // Bounded windows so wedged fault plans converge quickly under
-        // the dense reference loop too.
-        deadlock_window: 2_000,
-        livelock_window: 20_000,
+        deadlock_window,
+        livelock_window: deadlock_window * 10,
         max_cycles: 300_000,
         ..SimConfig::default()
     };
@@ -125,7 +127,9 @@ fn run_one(
 }
 
 /// Runs the launch under both schedulers and asserts bit-identity of the
-/// complete outcome.
+/// complete outcome. The watchdog windows are bounded (deadlock 2000
+/// cycles) so wedged fault plans converge quickly under the dense
+/// reference loop too.
 #[allow(clippy::result_large_err)]
 fn assert_schedulers_agree(
     src: &str,
@@ -135,9 +139,11 @@ fn assert_schedulers_agree(
     profile: Option<ProfileConfig>,
     check_invariants: bool,
 ) -> Result<(SimResult, Vec<u8>), SimError> {
-    let dense =
-        run_one(src, nd, instances, faults.clone(), profile, check_invariants, Scheduler::Dense);
-    let fast = run_one(src, nd, instances, faults, profile, check_invariants, Scheduler::Fast);
+    let run = |faults, scheduler| {
+        run_one(src, nd, instances, faults, profile, check_invariants, scheduler, 2_000)
+    };
+    let dense = run(faults.clone(), Scheduler::Dense);
+    let fast = run(faults, Scheduler::Fast);
     assert_eq!(dense, fast, "dense and fast outcomes diverged");
     dense
 }
@@ -303,11 +309,10 @@ fn zero_sized_launch_is_rejected() {
     }
 }
 
-/// The fast scheduler must actually skip work on an idle machine: a
-/// single-work-item launch on a long-latency kernel spends most cycles
-/// waiting on memory, so both schedulers agreeing (above) plus this
-/// completing quickly is the smoke check that fast-forwarding engages.
-/// (The wall-clock benchmark in `crates/bench` measures the speedup.)
+/// Long idle gaps: a one-work-group launch on a long-latency kernel
+/// spends most cycles waiting on memory, with nearly every unit and
+/// channel skipped under the fast scheduler; both schedulers must still
+/// agree on every one of those cycles. (perfbench measures the speed.)
 #[test]
 fn fast_handles_long_idle_gaps() {
     let src = "__kernel void k(__global int* a, int n) {
@@ -320,6 +325,27 @@ fn fast_handles_long_idle_gaps() {
     let out = assert_schedulers_agree(src, nd, 1, FaultPlan::none(), None, true);
     let (res, _) = out.expect("fault-free launch");
     assert_eq!(res.retired, 4);
+}
+
+/// Every channel stuck from cycle 0, at the watchdog windows the machine
+/// derives for itself (`deadlock_window: 0`): nothing ever moves and no
+/// memory event is pending, so the progress watchdog alone ends the run,
+/// and both schedulers must report the same deadlock from the same cycle.
+#[test]
+fn schedulers_agree_on_a_stalled_machine_at_derived_windows() {
+    let src = KERNELS[1];
+    let nd = NdRange::dim1(16, 8);
+    let (kernel, dp) = compile(src);
+    let mut gm = GlobalMemory::new();
+    let args = [ArgValue::Buffer(gm.alloc(64 * 4)), ArgValue::Scalar(5)];
+    let probe = Machine::new(&kernel, &dp, &SimConfig::default(), nd, &args).unwrap();
+    let faults = (0..probe.num_channels()).fold(FaultPlan::none(), |plan, chan| {
+        plan.with(soff_sim::Fault::ChannelStuckStall { chan, from: 0, cycles: u64::MAX })
+    });
+    let run = |scheduler| run_one(src, nd, 1, faults.clone(), None, false, scheduler, 0);
+    let dense = run(Scheduler::Dense);
+    assert_eq!(dense, run(Scheduler::Fast), "dense and fast outcomes diverged");
+    assert!(matches!(dense, Err(SimError::Deadlock { .. })), "got {dense:?}");
 }
 
 /// A token duplicated inside a datapath instance outlives its work-group's
