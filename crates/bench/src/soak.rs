@@ -47,7 +47,7 @@ impl Rng {
 }
 
 /// One soak job: `n` work-items over their own buffer.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub struct JobSpec {
     /// Work-items (and floats in the job's buffer).
     pub n: usize,
